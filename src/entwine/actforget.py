@@ -25,11 +25,11 @@ from .entwining import (
 )
 from .exactlin import (
     InternalCheckError,
+    LinearLaws,
     LinMap,
     SolutionSpace,
+    Term,
     basis_vec,
-    hom_probe_matrix,
-    nullspace,
 )
 from .homspaces import (
     ConstraintSet,
@@ -75,14 +75,14 @@ def compute_V1prime(e: Entwining) -> SolutionSpace:
     """Basis of the vartheta space, each element a functional on C (x) A."""
     f = e.field
     na, nc = e.a.dim, e.c.dim
-
-    def op(t):
-        mat = (tuple(f.one if c == t else f.zero for c in range(nc * na)),)
-        return _flat(_vartheta_law(e, LinMap(f, (nc, na), (1,), mat)))
-
-    rows = hom_probe_matrix(f, nc * na, [op])
-    basis = [LinMap(f, (nc, na), (1,), (tuple(vec),)) for vec in nullspace(f, rows)]
-    return SolutionSpace(basis, lambda vt: vartheta_residual(e, vt))
+    ida = LinMap.identity(f, (na,))
+    idc = LinMap.identity(f, (nc,))
+    split = e.c.comult_map().tensor(ida)
+    # the law of _vartheta_law, with vartheta as the unknown
+    laws = LinearLaws(f, nc * na, 1)
+    laws.add(Term(after=nc, right=idc.tensor(e.psi).compose(split)),
+             Term(-1, before=nc, right=split))
+    return SolutionSpace(laws.maps((nc, na), (1,)), lambda vt: vartheta_residual(e, vt))
 
 
 def _e_laws(e: Entwining, em: LinMap) -> list[tuple[str, LinMap]]:
@@ -119,23 +119,17 @@ def compute_W1prime(e: Entwining) -> SolutionSpace:
     """Basis of the Casimir-style space of maps C -> A (x) A."""
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    rows_n = na * na
-
-    def op(t):
-        mat = tuple(tuple(f.one if (r == t // nc and c == t % nc) else f.zero
-                          for c in range(nc)) for r in range(rows_n))
-        unit = LinMap(f, (nc,), (na, na), mat)
-        out = []
-        for _, diff in _e_laws(e, unit):
-            out.extend(_flat(diff))
-        return out
-
-    rows = hom_probe_matrix(f, rows_n * nc, [op])
-    basis = []
-    for vec in nullspace(f, rows):
-        mat = tuple(tuple(vec[r * nc + c] for c in range(nc)) for r in range(rows_n))
-        basis.append(LinMap(f, (nc,), (na, na), mat))
-    return SolutionSpace(basis, lambda em: e_residual(e, em))
+    ida = LinMap.identity(f, (na,))
+    m = e.a.mult_map()
+    delta = e.c.comult_map()
+    # the laws of _e_laws, with e as the unknown
+    laws = LinearLaws(f, nc, na * na)
+    laws.add(Term(after=nc, right=delta),
+             Term(-1, left=ida.tensor(e.psi).compose(e.psi.tensor(ida)),
+                  before=nc, right=delta))
+    laws.add(Term(left=ida.tensor(m), after=na),
+             Term(-1, left=m.tensor(ida), before=na, right=e.psi))
+    return SolutionSpace(laws.maps((nc,), (na, na)), lambda em: e_residual(e, em))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ from .entwining import (
 )
 from .exactlin import (
     InternalCheckError,
+    LinearLaws,
     LinMap,
     SolutionSpace,
+    Term,
     basis_vec,
-    hom_probe_matrix,
     kron_vec,
-    nullspace,
     swap_map,
 )
 from .homspaces import (
@@ -85,23 +85,17 @@ def compute_V1(e: Entwining) -> SolutionSpace:
     """Basis of the theta-space, each element a map C (x) C -> A."""
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    cols = nc * nc
-
-    def op(t):
-        mat = tuple(tuple(f.one if (r == t // cols and c == t % cols) else f.zero
-                          for c in range(cols)) for r in range(na))
-        unit = LinMap(f, (nc, nc), (na,), mat)
-        out = []
-        for _, diff in _theta_laws(e, unit):
-            out.extend(_flat(diff))
-        return out
-
-    rows = hom_probe_matrix(f, na * cols, [op])
-    basis = []
-    for vec in nullspace(f, rows):
-        mat = tuple(tuple(vec[r * cols + c] for c in range(cols)) for r in range(na))
-        basis.append(LinMap(f, (nc, nc), (na,), mat))
-    return SolutionSpace(basis, lambda th: theta_residual(e, th))
+    idc = LinMap.identity(f, (nc,))
+    m = e.a.mult_map()
+    delta = e.c.comult_map()
+    # the laws of _theta_laws, with theta as the unknown
+    laws = LinearLaws(f, nc * nc, na)
+    laws.add(Term(left=m, after=na),
+             Term(-1, left=m, before=na,
+                  right=e.psi.tensor(idc).compose(idc.tensor(e.psi))))
+    laws.add(Term(after=nc, right=idc.tensor(delta)),
+             Term(-1, left=e.psi, before=nc, right=delta.tensor(idc)))
+    return SolutionSpace(laws.maps((nc, nc), (na,)), lambda th: theta_residual(e, th))
 
 
 def z_residual(e: Entwining, z: Sequence) -> list[str]:
@@ -140,10 +134,10 @@ def compute_W1(e: Entwining) -> SolutionSpace:
         diffs.append(left.with_shapes((na * nc,), (na * nc,)).sub(
             right.with_shapes((na * nc,), (na * nc,))))
 
-    rows = hom_probe_matrix(f, na * nc, [
-        (lambda t, d=d: list(d.column(t))) for d in diffs])
-    basis = [tuple(v) for v in nullspace(f, rows)]
-    return SolutionSpace(basis, lambda z: z_residual(e, z))
+    laws = LinearLaws(f, 1, na * nc)
+    for d in diffs:
+        laws.add(Term(left=d))
+    return SolutionSpace(laws.kernel(), lambda z: z_residual(e, z))
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,20 @@ def random_doi_hopf(dims: tuple[int, int, int], field: Field, seed: int,
         rows = [[field.random(rng) for _ in range(dom)] for _ in range(cod)]
         return rows
 
+    # Each validator also checks one cheap law (the counit law of the
+    # coaction, the unit law of the action).  Testing it first rejects most
+    # candidates early; the full validator still decides acceptance, so the
+    # sample drawn is the same.
+    ida, idc = LinMap.identity(field, (a.dim,)), LinMap.identity(field, (c.dim,))
+    counit_leg = ida.tensor(h.coalgebra.counit_map())
+    unit_leg = idc.tensor(h.algebra.unit_map())
+
     coaction = None
     for _ in range(max_attempts):
         cand = CoactionData("right", LinMap.from_rows(
             field, (a.dim,), (a.dim, h.dim), rand_map(a.dim, a.dim * h.dim)))
-        if check_comodule_algebra(h, a, cand).ok:
+        if (counit_leg.compose(cand.map).mat == ida.mat
+                and check_comodule_algebra(h, a, cand).ok):
             coaction = cand
             break
     if coaction is None:
@@ -221,7 +230,8 @@ def random_doi_hopf(dims: tuple[int, int, int], field: Field, seed: int,
     for _ in range(max_attempts):
         cand = ActionData("right", LinMap.from_rows(
             field, (c.dim, h.dim), (c.dim,), rand_map(c.dim * h.dim, c.dim)))
-        if check_module_coalgebra(h, c, cand).ok:
+        if (cand.map.compose(unit_leg).mat == idc.mat
+                and check_module_coalgebra(h, c, cand).ok):
             action = cand
             break
     if action is None:

@@ -6,6 +6,19 @@ a dense matrix tagged with the tensor-factor shapes of its domain and
 codomain.  Tensor legs are flattened row-major: the flat index of
 (i_1, ..., i_k) with shape (d_1, ..., d_k) is ((i_1*d_2 + i_2)*d_3 + ...).
 
+Linear algebra runs on a plain-number kernel: compose and elimination work
+on ints mod p over F_p and on Fractions over Q, with no FpElement inside
+their loops.  Elimination reduces sparse rows one at a time into the
+reduced row echelon form, which is unique for the row space, so `rref`,
+`solve_linear`, `nullspace`, `LinMap.inverse` and `LinMap.rank` return
+the same bases whatever order the rows come in.
+
+Solution spaces of linear laws in an unknown map X are assembled by
+`LinearLaws`: every law is a sum of terms L . (id (x) X (x) id) . R with
+fixed maps L and R, and its constraint rows are contracted directly from
+the nonzero entries of L and R (vec(PXQ) = (P (x) Q^T) vec(X) for the
+row-major vec), without evaluating any law on a trial value of X.
+
 Solvers return exact answers and verify them by substitution before
 returning; a failed substitution is an internal error, never a verdict.
 """
@@ -13,10 +26,11 @@ returning; a failed substitution is an internal error, never a verdict.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_PRIME = 2**61
 
@@ -325,6 +339,64 @@ def dot(u, v):
 
 
 # ---------------------------------------------------------------------------
+# raw scalars
+#
+# The inner loops of compose and of elimination work on raw scalars: plain
+# ints reduced mod p over F_p, Fractions over Q, with `p` = 0 standing for Q.
+# No FpElement is built inside them; values are converted on the way in and
+# out.
+
+def _modulus(field: Field) -> int:
+    """The kernel's name for a field: p for F_p, 0 for Q."""
+    return field.p if field.kind == "Fp" else 0
+
+
+_VALUE = operator.attrgetter("v")
+
+
+def _raw_line(p: int, line: Sequence) -> list:
+    """Field elements, or plain ints, -> raw scalars: ints in [0, p) over
+    F_p, Fractions over Q."""
+    if p:
+        try:
+            return list(map(_VALUE, line))
+        except AttributeError:  # a matrix written with plain ints
+            return [x % p if type(x) is int else x.v for x in line]
+    return [Fraction(x) if type(x) is int else x for x in line]
+
+
+def _field_rows(field: Field, rows: list[list]) -> tuple[tuple, ...]:
+    """Rows of raw scalars (ints over F_p, reduced or not; Fractions or 0
+    over Q) -> a matrix of field elements."""
+    if field.kind == "Fp":
+        p = field.p
+        cls = GF(p)
+        zero = cls(0)
+        return tuple(tuple(cls(v) if v % p else zero for v in row) for row in rows)
+    zero = Fraction(0)
+    return tuple(tuple(v if v else zero for v in row) for row in rows)
+
+
+def _sparse(p: int, row: Sequence) -> dict:
+    """Dense row of field elements -> sparse raw row."""
+    return {k: v for k, v in enumerate(_raw_line(p, row)) if v}
+
+
+def _dense(field: Field, row: dict, n: int) -> list:
+    """Sparse raw row -> dense list of field elements."""
+    if field.kind == "Fp":
+        cls = GF(field.p)
+        out = [cls(0)] * n
+        for k, v in row.items():
+            out[k] = cls(v)
+        return out
+    out = [Fraction(0)] * n
+    for k, v in row.items():
+        out[k] = v
+    return out
+
+
+# ---------------------------------------------------------------------------
 # linear maps
 
 @dataclass(frozen=True)
@@ -431,18 +503,23 @@ class LinMap:
         """self after other.  Defined when flat dimensions agree."""
         if other.dim_cod != self.dim_dom:
             raise ShapeError("compose: %r after %r" % (self.cod, other.cod))
-        nr, nc = self.dim_cod, other.dim_dom
-        zero = self.field.zero
-        out = [[zero] * nc for _ in range(nr)]
-        for k, orow in enumerate(other.mat):
-            for c, okc in enumerate(orow):
-                if not okc:
-                    continue
-                for r in range(nr):
-                    s = self.mat[r][k]
-                    if s:
-                        out[r][c] = out[r][c] + s * okc
-        return LinMap(self.field, other.dom, self.cod, tuple(tuple(r) for r in out))
+        p = _modulus(self.field)
+        nc = other.dim_dom
+        # the nonzero entries of each column of self, as raw scalars
+        cols = [[] for _ in range(self.dim_dom)]
+        for r, row in enumerate(self.mat):
+            for k, x in enumerate(_raw_line(p, row)):
+                if x:
+                    cols[k].append((r, x))
+        out = [[0] * nc for _ in range(self.dim_cod)]
+        for col, orow in zip(cols, other.mat):
+            if not col:
+                continue
+            for c, y in enumerate(_raw_line(p, orow)):
+                if y:
+                    for r, x in col:
+                        out[r][c] += x * y
+        return LinMap(self.field, other.dom, self.cod, _field_rows(self.field, out))
 
     def tensor(self, other: "LinMap") -> "LinMap":
         a, b = self, other
@@ -465,14 +542,18 @@ class LinMap:
     def add(self, other: "LinMap") -> "LinMap":
         if self.dom != other.dom or self.cod != other.cod:
             raise ShapeError("add: shape mismatch")
-        return LinMap(self.field, self.dom, self.cod,
-                      tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.mat, other.mat)))
+        p = _modulus(self.field)
+        return LinMap(self.field, self.dom, self.cod, _field_rows(self.field, [
+            [x + y for x, y in zip(_raw_line(p, r), _raw_line(p, s))]
+            for r, s in zip(self.mat, other.mat)]))
 
     def sub(self, other: "LinMap") -> "LinMap":
         if self.dom != other.dom or self.cod != other.cod:
             raise ShapeError("sub: shape mismatch")
-        return LinMap(self.field, self.dom, self.cod,
-                      tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.mat, other.mat)))
+        p = _modulus(self.field)
+        return LinMap(self.field, self.dom, self.cod, _field_rows(self.field, [
+            [x - y for x, y in zip(_raw_line(p, r), _raw_line(p, s))]
+            for r, s in zip(self.mat, other.mat)]))
 
     def scale(self, s) -> "LinMap":
         return LinMap(self.field, self.dom, self.cod,
@@ -511,40 +592,103 @@ def swap_map(field: Field, d1: int, d2: int) -> LinMap:
 
 
 # ---------------------------------------------------------------------------
+# the elimination kernel
+#
+# A row is a sparse dict {column: raw scalar} holding only nonzero entries.
+
+def _axpy(p: int, row: dict, f, b: dict):
+    """row -= f * b in place, dropping entries that become zero."""
+    get = row.get
+    if p:
+        for k, v in b.items():
+            x = (get(k, 0) - f * v) % p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+    else:
+        for k, v in b.items():
+            x = get(k, 0) - f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _echelon(p: int, rows) -> dict:
+    """Reduced row echelon form of the span of `rows`, as {pivot column: row}.
+
+    Rows are reduced one at a time against the basis so far and kept fully
+    reduced: pivot entries are 1, each row is zero left of its pivot, and
+    every pivot column is zero in the other rows.  That form is unique for
+    the row space, so it does not depend on the order or multiplicity of
+    `rows`, which are left unmodified.
+    """
+    basis: dict = {}
+    for src in rows:
+        row = dict(src)
+        # a basis row is zero in every other pivot column, so one pass works
+        for c in [c for c in row if c in basis]:
+            _axpy(p, row, row[c], basis[c])
+        if not row:
+            continue
+        lead = min(row)
+        x = row[lead]
+        if x != 1:
+            if p:
+                inv = pow(x, -1, p)
+                row = {k: v * inv % p for k, v in row.items()}
+            else:
+                row = {k: v / x for k, v in row.items()}
+        for b in basis.values():
+            f = b.get(lead)
+            if f:
+                _axpy(p, b, f, row)
+        basis[lead] = row
+    return basis
+
+
+def _kernel(p: int, basis: dict, n: int) -> list[dict]:
+    """Basis of the solutions of the reduced system in columns 0..n-1, one
+    vector per free column in increasing order (the free column set to 1)."""
+    one = 1 if p else Fraction(1)
+    out = []
+    for f in range(n):
+        if f in basis:
+            continue
+        vec = {f: one}
+        for c, row in basis.items():
+            x = row.get(f) if c < n else None
+            if x:
+                vec[c] = (-x) % p if p else -x
+        out.append(vec)
+    return out
+
+
+def _residual(p: int, row: dict, vec: dict):
+    acc = 0
+    for k, a in row.items():
+        x = vec.get(k)
+        if x:
+            acc += a * x
+    return acc % p if p else acc
+
+
+# ---------------------------------------------------------------------------
 # solving
 
 def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form (first-nonzero pivoting).
 
-    Returns (nonzero rows, pivot column indices).  Input rows are consumed.
+    Returns (nonzero rows, pivot column indices); the input is not modified.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != field.one:
-            rows[r] = [x / lead for x in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    p = _modulus(field)
+    basis = _echelon(p, [_sparse(p, r) for r in rows])
+    pivots = sorted(basis)
+    return [_dense(field, basis[c], ncols) for c in pivots], pivots
 
 
 def solve_linear(field: Field, rows: Sequence[Sequence], rhs: Sequence):
@@ -647,12 +791,120 @@ class SolutionSpace:
         return len(self.basis)
 
 
+class Term(NamedTuple):
+    """One term coef * left . (id_before (x) X (x) id_after) . right of a law
+    in an unknown map X; `left` and `right` are fixed maps, None for an
+    identity, and `before`/`after` are the dimensions of the identity legs."""
+
+    coef: int = 1
+    left: Optional[LinMap] = None
+    before: int = 1
+    after: int = 1
+    right: Optional[LinMap] = None
+
+
+def _legs(lm: Optional[LinMap], d: int, before: int, after: int, p: int, left: bool):
+    """Nonzero entries of a map beside the leg (id_before (x) X (x) id_after),
+    grouped by the identity legs: {(u, v): [(outer, k, raw)]}, where the
+    entry's index on the X side is (u, k, v) and `outer` is its other index."""
+    groups: dict = {}
+    if lm is None:
+        one = 1 if p else Fraction(1)
+        for u in range(before):
+            for v in range(after):
+                groups[(u, v)] = [((u * d + k) * after + v, k, one) for k in range(d)]
+        return groups
+    span = d * after
+    for outer, line in enumerate(lm.mat if left else zip(*lm.mat)):
+        for mid, x in enumerate(_raw_line(p, line)):
+            if x:
+                u, rest = divmod(mid, span)
+                k, v = divmod(rest, after)
+                groups.setdefault((u, v), []).append((outer, k, x))
+    return groups
+
+
+class LinearLaws:
+    """Linear laws in an unknown map X: k^dom -> k^cod, as sparse constraint rows.
+
+    The unknowns are the entries of X's matrix in row-major order: X[r][c]
+    is unknown r * dom + c.  A law is a sum of `Term`s equal to zero.  For
+    each pair (u, v) of identity-leg indices a term restricts to P . X . Q
+    with P[i][r] = left[i][(u, r, v)] and Q[c][j] = right[(u, c, v)][j], and
+    the coefficient of X[r][c] in entry (i, j) of P . X . Q is
+    P[i][r] * Q[c][j], i.e. vec(PXQ) = (P (x) Q^T) vec(X).  So each law's
+    rows come from the nonzero entries of its fixed maps alone: no map is
+    ever evaluated on a trial value of X.
+    """
+
+    def __init__(self, field: Field, dom: int, cod: int):
+        self.field = field
+        self.dom, self.cod = dom, cod
+        self.rows: list[dict] = []
+
+    def add(self, *terms: Term):
+        """Add the law sum(terms) = 0: one row per entry of its value."""
+        p = _modulus(self.field)
+        acc: dict = {}
+        shape = None
+        for t in terms:
+            mid_cod = t.before * self.cod * t.after
+            mid_dom = t.before * self.dom * t.after
+            if ((t.left is not None and t.left.dim_dom != mid_cod)
+                    or (t.right is not None and t.right.dim_cod != mid_dom)):
+                raise ShapeError("law term does not compose with the unknown")
+            n = mid_dom if t.right is None else t.right.dim_dom
+            m = mid_cod if t.left is None else t.left.dim_cod
+            if shape not in (None, (m, n)):
+                raise ShapeError("law terms of different shapes")
+            shape = (m, n)
+            rights = _legs(t.right, self.dom, t.before, t.after, p, left=False)
+            for uv, lefts in _legs(t.left, self.cod, t.before, t.after, p, left=True).items():
+                for j, c, qv in rights.get(uv, ()):
+                    for i, r, pv in lefts:
+                        row = acc.setdefault(i * n + j, {})
+                        col = r * self.dom + c
+                        row[col] = row.get(col, 0) + t.coef * pv * qv
+        for row in acc.values():
+            row = {k: v % p for k, v in row.items() if v % p} if p else \
+                {k: v for k, v in row.items() if v}
+            if row:
+                self.rows.append(row)
+
+    def kernel(self) -> list[tuple]:
+        """Basis of the solutions as flat coordinate vectors of X.
+
+        Each vector is verified by substitution into every law row.  The
+        basis is the one read off the reduced row echelon form (one vector
+        per free unknown, in increasing order), so it is fixed by the
+        solution space and the unknown order alone.
+        """
+        p = _modulus(self.field)
+        n = self.dom * self.cod
+        vecs = _kernel(p, _echelon(p, self.rows), n)
+        for v in vecs:
+            if any(_residual(p, row, v) for row in self.rows):
+                raise InternalCheckError("kernel vector failed substitution into the laws")
+        return [tuple(_dense(self.field, v, n)) for v in vecs]
+
+    def maps(self, dom, cod) -> list[LinMap]:
+        """The kernel as maps between the tensor shapes `dom` and `cod`."""
+        nd = self.dom
+        return [LinMap(self.field, tuple(dom), tuple(cod),
+                       tuple(vec[r * nd:(r + 1) * nd] for r in range(self.cod)))
+                for vec in self.kernel()]
+
+
 def hom_probe_matrix(field: Field, dim_unknown: int, operators: Sequence[Callable[[int], Sequence]]):
     """Stack linear operators on an unknown vector into one constraint matrix.
 
     Each operator takes the index of an unknown-space basis vector and returns
     the operator's value on it (a vector); rows of the result are constraint
     coordinates, columns are unknowns.
+
+    This is the probing construction, one operator evaluation per unknown.
+    The package assembles its solution spaces with `LinearLaws` instead; the
+    tests keep this as the reference those spaces are compared against.
     """
     cols = []
     for j in range(dim_unknown):

@@ -1,8 +1,9 @@
 """Hom spaces between entwined modules, and exact witness searches.
 
-Morphism spaces are computed by probing the defining linear laws on matrix
-units and taking an exact nullspace.  The two search primitives share one
-soundness story:
+Morphism spaces are the exact kernels of the defining linear laws, whose
+constraint rows `LinearLaws` assembles by contraction from the action and
+coaction matrices; `morphism_ok` re-checks a single map by evaluating the
+laws on it.  The two search primitives share one soundness story:
 
 * over F_p, candidate sets are enumerated projectively and exhaustively
   whenever the point count fits the budget, so a miss is a proof;
@@ -21,10 +22,11 @@ from typing import Callable, Optional, Sequence
 
 from .exactlin import (
     Field,
+    InternalCheckError,
+    LinearLaws,
     LinMap,
     ParseError,
-    hom_probe_matrix,
-    nullspace,
+    Term,
     solve_linear,
 )
 from .entwining import EntwinedObject, Entwining
@@ -55,99 +57,78 @@ class ConstraintSet:
 ENTWINED_MORPHISMS = ConstraintSet(right_A_linear=True, right_C_colinear=True)
 
 
-def _unit_entry(field: Field, rows: int, cols: int, r: int, c: int):
-    zero = field.zero
-    one = field.one
-    return tuple(tuple(one if (i == r and j == c) else zero for j in range(cols))
-                 for i in range(rows))
-
-
-def _law_residuals(e: Entwining, x: EntwinedObject, y: EntwinedObject,
-                   cs: ConstraintSet):
-    """Callables mapping a matrix-unit index of f: X -> Y to law residuals."""
-    f = e.field
-    na, nc = e.a.dim, e.c.dim
-    dx, dy = x.dim, y.dim
-    ida = LinMap.identity(f, (na,))
-    idc = LinMap.identity(f, (nc,))
-
-    def need(mp, what, who):
-        if mp is None:
-            raise ParseError("%s has no %s structure" % (who, what))
-        return mp
-
-    ops = []
-    if cs.right_A_linear:
-        ax = x.act.with_shapes((dx, na), (dx,))
-        ay = y.act.with_shapes((dy, na), (dy,))
-
-        def op_ra(t, ax=ax, ay=ay):
-            fm = LinMap(f, (dx,), (dy,), _unit_entry(f, dy, dx, t // dx, t % dx))
-            diff = fm.compose(ax).sub(ay.compose(fm.tensor(ida)).with_shapes((dx, na), (dy,)))
-            return [v for row in diff.mat for v in row]
-        ops.append(op_ra)
-    if cs.left_A_linear:
-        lx = need(x.lact, "left action", x.label).with_shapes((na, dx), (dx,))
-        ly = need(y.lact, "left action", y.label).with_shapes((na, dy), (dy,))
-
-        def op_la(t, lx=lx, ly=ly):
-            fm = LinMap(f, (dx,), (dy,), _unit_entry(f, dy, dx, t // dx, t % dx))
-            diff = fm.compose(lx).sub(ly.compose(ida.tensor(fm)).with_shapes((na, dx), (dy,)))
-            return [v for row in diff.mat for v in row]
-        ops.append(op_la)
-    if cs.right_C_colinear:
-        cx = x.coact.with_shapes((dx,), (dx, nc))
-        cy = y.coact.with_shapes((dy,), (dy, nc))
-
-        def op_rc(t, cx=cx, cy=cy):
-            fm = LinMap(f, (dx,), (dy,), _unit_entry(f, dy, dx, t // dx, t % dx))
-            diff = cy.compose(fm).sub(fm.tensor(idc).compose(cx).with_shapes((dx,), (dy, nc)))
-            return [v for row in diff.mat for v in row]
-        ops.append(op_rc)
-    if cs.left_C_colinear:
-        cx = need(x.lcoact, "left coaction", x.label).with_shapes((dx,), (nc, dx))
-        cy = need(y.lcoact, "left coaction", y.label).with_shapes((dy,), (nc, dy))
-
-        def op_lc(t, cx=cx, cy=cy):
-            fm = LinMap(f, (dx,), (dy,), _unit_entry(f, dy, dx, t // dx, t % dx))
-            diff = cy.compose(fm).sub(idc.tensor(fm).compose(cx).with_shapes((dx,), (nc, dy)))
-            return [v for row in diff.mat for v in row]
-        ops.append(op_lc)
-    return ops
+def _structure(mp: Optional[LinMap], what: str, who: str) -> LinMap:
+    if mp is None:
+        raise ParseError("%s has no %s structure" % (who, what))
+    return mp
 
 
 def hom_basis(e: Entwining, x: EntwinedObject, y: EntwinedObject,
               cs: ConstraintSet = ENTWINED_MORPHISMS) -> list[LinMap]:
     """Basis of the space of maps X -> Y satisfying the chosen laws."""
-    f = e.field
+    na, nc = e.a.dim, e.c.dim
     dx, dy = x.dim, y.dim
-    rows = hom_probe_matrix(f, dy * dx, _law_residuals(e, x, y, cs))
-    basis = []
-    for vec in nullspace(f, rows):
-        mat = tuple(tuple(vec[r * dx + c] for c in range(dx)) for r in range(dy))
-        basis.append(LinMap(f, (dx,), (dy,), mat))
-    return basis
+    laws = LinearLaws(e.field, dx, dy)
+    if cs.right_A_linear:
+        # f . act_X = act_Y . (f (x) id_A)
+        laws.add(Term(right=x.act), Term(-1, left=y.act, after=na))
+    if cs.left_A_linear:
+        # f . lact_X = lact_Y . (id_A (x) f)
+        lx = _structure(x.lact, "left action", x.label)
+        ly = _structure(y.lact, "left action", y.label)
+        laws.add(Term(right=lx), Term(-1, left=ly, before=na))
+    if cs.right_C_colinear:
+        # coact_Y . f = (f (x) id_C) . coact_X
+        laws.add(Term(left=y.coact), Term(-1, after=nc, right=x.coact))
+    if cs.left_C_colinear:
+        # lcoact_Y . f = (id_C (x) f) . lcoact_X
+        cx = _structure(x.lcoact, "left coaction", x.label)
+        cy = _structure(y.lcoact, "left coaction", y.label)
+        laws.add(Term(left=cy), Term(-1, before=nc, right=cx))
+    return laws.maps((dx,), (dy,))
 
 
 def morphism_ok(e: Entwining, x: EntwinedObject, y: EntwinedObject,
                 fm: LinMap, cs: ConstraintSet = ENTWINED_MORPHISMS) -> bool:
-    """Re-verify one map against the laws, entry by entry."""
+    """Re-verify one map against the laws by evaluating each law on it.
+
+    The laws are evaluated with LinMap algebra, independently of the
+    constraint rows `hom_basis` solves, so this cross-checks them.
+    """
+    return all(d.is_zero() for d in _law_values(e, x, y, fm, cs))
+
+
+def _law_values(e: Entwining, x: EntwinedObject, y: EntwinedObject,
+                fm: LinMap, cs: ConstraintSet) -> list[LinMap]:
+    """Each law of `cs` evaluated on fm: X -> Y, as lhs - rhs."""
     f = e.field
-    dx = x.dim
-    flat = [v for row in fm.with_shapes((dx,), (y.dim,)).mat for v in row]
-    for op in _law_residuals(e, x, y, cs):
-        total = None
-        for t, coeff in enumerate(flat):
-            if not coeff:
-                continue
-            vals = op(t)
-            if total is None:
-                total = [coeff * v for v in vals]
-            else:
-                total = [s + coeff * v for s, v in zip(total, vals)]
-        if total is not None and any(total):
-            return False
-    return True
+    na, nc = e.a.dim, e.c.dim
+    dx, dy = x.dim, y.dim
+    ida = LinMap.identity(f, (na,))
+    idc = LinMap.identity(f, (nc,))
+    fm = fm.with_shapes((dx,), (dy,))
+    diffs = []
+    if cs.right_A_linear:
+        ax = x.act.with_shapes((dx, na), (dx,))
+        ay = y.act.with_shapes((dy, na), (dy,))
+        diffs.append(fm.compose(ax).sub(
+            ay.compose(fm.tensor(ida)).with_shapes((dx, na), (dy,))))
+    if cs.left_A_linear:
+        lx = _structure(x.lact, "left action", x.label).with_shapes((na, dx), (dx,))
+        ly = _structure(y.lact, "left action", y.label).with_shapes((na, dy), (dy,))
+        diffs.append(fm.compose(lx).sub(
+            ly.compose(ida.tensor(fm)).with_shapes((na, dx), (dy,))))
+    if cs.right_C_colinear:
+        cx = x.coact.with_shapes((dx,), (dx, nc))
+        cy = y.coact.with_shapes((dy,), (dy, nc))
+        diffs.append(cy.compose(fm).sub(
+            fm.tensor(idc).compose(cx).with_shapes((dx,), (dy, nc))))
+    if cs.left_C_colinear:
+        cx = _structure(x.lcoact, "left coaction", x.label).with_shapes((dx,), (nc, dx))
+        cy = _structure(y.lcoact, "left coaction", y.label).with_shapes((dy,), (nc, dy))
+        diffs.append(cy.compose(fm).sub(
+            idc.tensor(fm).compose(cx).with_shapes((dx,), (nc, dy))))
+    return diffs
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +305,7 @@ def iso_exists(e: Entwining, x: EntwinedObject, y: EntwinedObject,
     meta["definitive"] = status != "unknown"
     if status == "yes":
         if not morphism_ok(e, x, y, fm, cs):
-            raise ParseError("internal: found iso violates the morphism laws")
+            raise InternalCheckError("found iso violates the morphism laws")
         return Verdict(q, "yes", "invertible morphism found",
                        witness={"iso": fm, "inverse": finv}, meta=meta)
     if status == "no":

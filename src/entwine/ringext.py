@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from .exactlin import (
     Field,
     InternalCheckError,
+    LinearLaws,
     LinMap,
     SolutionSpace,
+    Term,
     basis_vec,
-    hom_probe_matrix,
     kron_vec,
     nullspace,
     rref,
@@ -158,26 +159,37 @@ def _casimir_ops(t: TensorOverR) -> list[LinMap]:
 
 
 def casimir_residual(t: TensorOverR, vec) -> list[str]:
-    for op in _casimir_ops(t):
-        if not vec_is_zero(op.apply(vec)):
+    """Whether s e = e s for every basis element s of S, for one e given in
+    quotient coordinates; evaluated on e from the structure constants, not
+    through the operators `compute_casimir` solves."""
+    f = t.ext.field
+    ns = t.ext.s.dim
+    mult = t.ext.s.mult
+    lift = t.sigma.apply(vec)
+    for a in range(ns):
+        diff = [f.zero] * (ns * ns)
+        for i in range(ns):
+            for j in range(ns):
+                w = lift[i * ns + j]
+                if not w:
+                    continue
+                for k, m in enumerate(mult[a][i]):  # s_a s_i (x) s_j
+                    if m:
+                        diff[k * ns + j] += m * w
+                for k, m in enumerate(mult[j][a]):  # s_i (x) s_j s_a
+                    if m:
+                        diff[i * ns + k] -= m * w
+        if not vec_is_zero(t.pi.apply(diff)):
             return ["casimir-central"]
     return []
 
 
 def compute_casimir(t: TensorOverR) -> SolutionSpace:
     """Basis of {e in S (x)_R S : s e = e s for all s}, in quotient coordinates."""
-    f = t.ext.field
-    ops = _casimir_ops(t)
-
-    def op(i):
-        unit = basis_vec(f, t.dim, i)
-        out = []
-        for o in ops:
-            out.extend(o.apply(unit))
-        return out
-
-    rows = hom_probe_matrix(f, t.dim, [op])
-    return SolutionSpace(nullspace(f, rows), lambda v: casimir_residual(t, v))
+    laws = LinearLaws(t.ext.field, 1, t.dim)
+    for op in _casimir_ops(t):
+        laws.add(Term(left=op))
+    return SolutionSpace(laws.kernel(), lambda v: casimir_residual(t, v))
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +217,24 @@ def expectation_residual(ext: RingExtension, nu: LinMap) -> list[str]:
 
 def compute_expectations(ext: RingExtension) -> SolutionSpace:
     """Basis of the R-bimodule maps S -> R."""
+    laws = _r_linear_laws(ext, left=True)
+    return SolutionSpace(laws.maps((ext.s.dim,), (ext.r.dim,)),
+                         lambda nu: expectation_residual(ext, nu))
+
+
+def _r_linear_laws(ext: RingExtension, left: bool) -> LinearLaws:
+    """Laws for a map nu: S -> R to be right R-linear, nu(s i(r)) = nu(s) r,
+    and if `left` also left R-linear, nu(i(r) s) = r nu(s)."""
     f = ext.field
     ns, nr = ext.s.dim, ext.r.dim
-
-    def op(t):
-        mat = tuple(tuple(f.one if (r == t // ns and c == t % ns) else f.zero
-                          for c in range(ns)) for r in range(nr))
-        nu = LinMap(f, (ns,), (nr,), mat)
-        out = []
-        for j in range(nr):
-            ij = ext.embedding.column(j)
-            rj = basis_vec(f, nr, j)
-            d1 = nu.compose(ext.s.lmult(ij)).sub(ext.r.lmult(rj).compose(nu))
-            d2 = nu.compose(ext.s.rmult(ij)).sub(ext.r.rmult(rj).compose(nu))
-            for row in d1.mat:
-                out.extend(row)
-            for row in d2.mat:
-                out.extend(row)
-        return out
-
-    rows = hom_probe_matrix(f, nr * ns, [op])
-    basis = []
-    for vec in nullspace(f, rows):
-        mat = tuple(tuple(vec[r * ns + c] for c in range(ns)) for r in range(nr))
-        basis.append(LinMap(f, (ns,), (nr,), mat))
-    return SolutionSpace(basis, lambda nu: expectation_residual(ext, nu))
+    laws = LinearLaws(f, ns, nr)
+    for j in range(nr):
+        ij = ext.embedding.column(j)
+        rj = basis_vec(f, nr, j)
+        if left:
+            laws.add(Term(right=ext.s.lmult(ij)), Term(-1, left=ext.r.lmult(rj)))
+        laws.add(Term(right=ext.s.rmult(ij)), Term(-1, left=ext.r.rmult(rj)))
+    return laws
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +331,7 @@ def frobenius_residual(ext: RingExtension, t: TensorOverR, nu: LinMap, evec) -> 
 
 def right_dual_space(ext: RingExtension) -> list[LinMap]:
     """Basis of Hom_R(S_R, R_R), the right R-linear maps S -> R."""
-    f = ext.field
-    ns, nr = ext.s.dim, ext.r.dim
-
-    def op(t):
-        mat = tuple(tuple(f.one if (r == t // ns and c == t % ns) else f.zero
-                          for c in range(ns)) for r in range(nr))
-        d = LinMap(f, (ns,), (nr,), mat)
-        out = []
-        for j in range(nr):
-            ij = ext.embedding.column(j)
-            rj = basis_vec(f, nr, j)
-            diff = d.compose(ext.s.rmult(ij)).sub(ext.r.rmult(rj).compose(d))
-            for row in diff.mat:
-                out.extend(row)
-        return out
-
-    rows = hom_probe_matrix(f, nr * ns, [op])
-    basis = []
-    for vec in nullspace(f, rows):
-        mat = tuple(tuple(vec[r * ns + c] for c in range(ns)) for r in range(nr))
-        basis.append(LinMap(f, (ns,), (nr,), mat))
-    return basis
+    return _r_linear_laws(ext, left=False).maps((ext.s.dim,), (ext.r.dim,))
 
 
 def fg_projective_coords(ext: RingExtension, dspace: list[LinMap]):
@@ -493,6 +477,20 @@ def phi_to_e(ext: RingExtension, t: TensorOverR, sigmas, phi: LinMap):
     return tuple(t.pi.apply(e_full))
 
 
+def dual_morphism_space(ext: RingExtension, dspace: list[LinMap]) -> list[LinMap]:
+    """Basis of the bimodule maps phi: S -> Hom_R(S, R), in dual coordinates:
+    phi(s a) = phi(s) . a and phi(i(r) s) = r . phi(s)."""
+    f = ext.field
+    ns = ext.s.dim
+    right_s, left_r = _dual_action_matrices(ext, dspace)
+    laws = LinearLaws(f, ns, len(dspace))
+    for a in range(ns):
+        laws.add(Term(right=ext.s.rmult(basis_vec(f, ns, a))), Term(-1, left=right_s[a]))
+    for j in range(ext.r.dim):
+        laws.add(Term(right=ext.s.lmult(ext.embedding.column(j))), Term(-1, left=left_r[j]))
+    return laws.maps((ns,), (len(dspace),))
+
+
 def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
                     route: str = "auto") -> Verdict:
     """Is the extension Frobenius?
@@ -563,31 +561,7 @@ def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
         return Verdict(q, "no",
                        "the right dual has a different dimension", meta=meta)
 
-    right_s, left_r = _dual_action_matrices(ext, dspace)
-
-    def op(tind):
-        mat = tuple(tuple(f.one if (r == tind // ns and c == tind % ns) else f.zero
-                          for c in range(ns)) for r in range(len(dspace)))
-        phi = LinMap(f, (ns,), (len(dspace),), mat)
-        out = []
-        for a in range(ns):
-            sa = basis_vec(f, ns, a)
-            diff = phi.compose(ext.s.rmult(sa)).sub(right_s[a].compose(phi))
-            for row in diff.mat:
-                out.extend(row)
-        for j in range(ext.r.dim):
-            ij = ext.embedding.column(j)
-            diff = phi.compose(ext.s.lmult(ij)).sub(left_r[j].compose(phi))
-            for row in diff.mat:
-                out.extend(row)
-        return out
-
-    rows = hom_probe_matrix(f, ns * len(dspace), [op])
-    basis = []
-    for vec in nullspace(f, rows):
-        mat = tuple(tuple(vec[r * ns + c] for c in range(ns))
-                    for r in range(len(dspace)))
-        basis.append(LinMap(f, (ns,), (len(dspace),), mat))
+    basis = dual_morphism_space(ext, dspace)
     meta["morphism_dim"] = len(basis)
     if not basis:
         return Verdict(q, "no", "no nonzero morphism onto the twisted dual exists",

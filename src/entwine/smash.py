@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from .exactlin import (
     Field,
     InternalCheckError,
+    LinearLaws,
     LinMap,
     ParseError,
     SolutionSpace,
+    Term,
     basis_vec,
-    hom_probe_matrix,
     iter_multi,
     kron_vec,
-    nullspace,
     vec_is_zero,
 )
 from .entwining import Entwining, check_entwining
@@ -211,21 +211,12 @@ def kappa_residual(fact: Factorization, kappa: LinMap) -> list[str]:
 
 def compute_V3(fact: Factorization) -> SolutionSpace:
     """Basis of {kappa: B -> A | a kappa(b) = kappa(b_R) a_R}."""
-    f = fact.field
     nb, na = fact.b.dim, fact.a.dim
-
-    def op(t):
-        mat = tuple(tuple(f.one if (r == t // nb and c == t % nb) else f.zero
-                          for c in range(nb)) for r in range(na))
-        diff = _kappa_laws(fact, LinMap(f, (nb,), (na,), mat))
-        return [v for row in diff.mat for v in row]
-
-    rows = hom_probe_matrix(f, na * nb, [op])
-    basis = []
-    for vec in nullspace(f, rows):
-        mat = tuple(tuple(vec[r * nb + c] for c in range(nb)) for r in range(na))
-        basis.append(LinMap(f, (nb,), (na,), mat))
-    return SolutionSpace(basis, lambda k: kappa_residual(fact, k))
+    ma = fact.a.mult_map()
+    # the law of _kappa_laws, with kappa as the unknown
+    laws = LinearLaws(fact.field, nb, na)
+    laws.add(Term(left=ma, before=na), Term(-1, left=ma, after=na, right=fact.rmap))
+    return SolutionSpace(laws.maps((nb,), (na,)), lambda k: kappa_residual(fact, k))
 
 
 def _w3_ops(fact: Factorization) -> list[tuple[str, LinMap]]:
@@ -269,19 +260,10 @@ def w3_residual(fact: Factorization, vec) -> list[str]:
 
 def compute_W3(fact: Factorization) -> SolutionSpace:
     """Basis of the Casimir space inside B (x) B (x) A."""
-    f = fact.field
-    dim = fact.b.dim * fact.b.dim * fact.a.dim
-    ops = [op for _, op in _w3_ops(fact)]
-
-    def probe(t):
-        unit = basis_vec(f, dim, t)
-        out = []
-        for op in ops:
-            out.extend(op.apply(unit))
-        return out
-
-    rows = hom_probe_matrix(f, dim, [probe])
-    return SolutionSpace(nullspace(f, rows), lambda v: w3_residual(fact, v))
+    laws = LinearLaws(fact.field, 1, fact.b.dim * fact.b.dim * fact.a.dim)
+    for _, op in _w3_ops(fact):
+        laws.add(Term(left=op))
+    return SolutionSpace(laws.kernel(), lambda v: w3_residual(fact, v))
 
 
 # ---------------------------------------------------------------------------

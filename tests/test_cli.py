@@ -195,6 +195,26 @@ def test_analyze_unknown_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "unknown"
 
 
+def test_iso_failing_the_morphism_laws_is_an_internal_error(tmp_path, capsys,
+                                                              monkeypatch):
+    """A found iso that fails the re-check is a solver bug: exit 70, not 2."""
+    from entwine import homspaces
+
+    monkeypatch.setattr(homspaces, "morphism_ok", lambda *args: False)
+    p = export(tmp_path, "flip-k-DN", F2)
+    # a one-point budget leaves the candidate search undecided, so analyze
+    # goes on to the isomorphism route
+    code, _, err = run(capsys, "analyze", str(p), "--question", "FG-frob",
+                       "--enum-budget", "1", "--trials", "0")
+    assert code == 70
+    assert "found iso violates the morphism laws" in err
+    code, out, _ = run(capsys, "corpus", "run", "--format", "json")
+    assert code == 1
+    notes = [r["note"] for r in json.loads(out)["results"] if not r["pass"]]
+    assert notes
+    assert all(n.startswith("InternalCheckError: ") for n in notes)
+
+
 def test_analyze_invalid_structure(tmp_path, capsys):
     p = export(tmp_path, "kC2", F2)
     doc = json.loads(p.read_text())

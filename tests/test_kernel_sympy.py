@@ -1,0 +1,116 @@
+"""The exact elimination kernel against sympy's, over Q and GF(p).
+
+`rref`, `nullspace`, `LinMap.inverse` and `LinMap.rank` are compared with
+sympy's DomainMatrix on random matrices over Q and over GF(p) for p = 2, 3,
+7 and the prime 2^61 - 1 just below the supported bound.  The reduced row
+echelon form is unique, so it must agree exactly; the nullspace basis must
+be the one read off that form (free unknown 1, pivots from the form), which
+sympy's own basis spans but scales differently over GF(p).  sympy is a
+test-only dependency: without it these tests are skipped.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entwine.exactlin import QQ, Field, LinMap, nullspace, rref
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import GF as SymGF  # noqa: E402
+from sympy.polys.domains import QQ as SymQQ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+PRIMES = (2, 3, 7, 2**61 - 1)
+FIELDS = (QQ,) + tuple(Field("Fp", p) for p in PRIMES)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """(field, rows) with entries mostly small and often zero, so that rank
+    deficiency, repeated rows and zero columns all come up."""
+    field = draw(st.sampled_from(FIELDS))
+    nr = draw(st.integers(1, 6))
+    nc = nr if square else draw(st.integers(1, 7))
+    if field.kind == "Q":
+        entry = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    else:
+        entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(0, field.p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if field.kind == "Q":
+        return field, [[Fraction(x) for x in row] for row in rows]
+    return field, [[field.of(x) for x in row] for row in rows]
+
+
+def to_sympy(field, rows):
+    if field.kind == "Q":
+        dom = SymQQ
+        cells = [[dom(x.numerator, x.denominator) for x in row] for row in rows]
+    else:
+        dom = SymGF(field.p)
+        cells = [[dom(x.v) for x in row] for row in rows]
+    return DomainMatrix(cells, (len(rows), len(rows[0])), dom)
+
+
+def from_sympy(field, m):
+    if field.kind == "Q":
+        return [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
+                for row in m.to_list()]
+    return [[field.of(int(x) % field.p) for x in row] for row in m.to_list()]
+
+
+def sympy_rref(field, rows):
+    red, pivots = to_sympy(field, rows).rref()
+    return from_sympy(field, red)[:len(pivots)], list(pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_matches_sympy(case):
+    field, rows = case
+    assert rref(field, [list(r) for r in rows]) == sympy_rref(field, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_nullspace_matches_sympy(case):
+    field, rows = case
+    ncols = len(rows[0])
+    red, pivots = sympy_rref(field, rows)
+    want = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for row, c in zip(red, pivots):
+            vec[c] = -row[f]
+        want.append(tuple(vec))
+    got = nullspace(field, rows)
+    assert got == want
+    if got:
+        product = to_sympy(field, rows) * to_sympy(field, [list(v) for v in got]).transpose()
+        assert product.is_zero_matrix
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_inverse_matches_sympy(case):
+    field, rows = case
+    n = len(rows)
+    m = to_sympy(field, rows)
+    inv = LinMap.from_rows(field, (n,), (n,), rows).inverse()
+    if m.rank() < n:
+        assert inv is None
+    else:
+        assert inv is not None
+        assert [list(r) for r in inv.mat] == from_sympy(field, m.inv())
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rank_matches_sympy(case):
+    field, rows = case
+    lm = LinMap.from_rows(field, (len(rows[0]),), (len(rows),), rows)
+    assert lm.rank() == to_sympy(field, rows).rank()
