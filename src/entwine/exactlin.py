@@ -384,16 +384,10 @@ def _sparse(p: int, row: Sequence) -> dict:
 
 def _dense(field: Field, row: dict, n: int) -> list:
     """Sparse raw row -> dense list of field elements."""
-    if field.kind == "Fp":
-        cls = GF(field.p)
-        out = [cls(0)] * n
-        for k, v in row.items():
-            out[k] = cls(v)
-        return out
-    out = [Fraction(0)] * n
+    raw = [0] * n
     for k, v in row.items():
-        out[k] = v
-    return out
+        raw[k] = v
+    return list(_field_rows(field, [raw])[0])
 
 
 # ---------------------------------------------------------------------------
