@@ -32,22 +32,19 @@ from .exactlin import (
     basis_vec,
 )
 from .homspaces import (
+    BilinearSystem,
     ConstraintSet,
     SearchConfig,
     Verdict,
     combine_in_span,
+    flat,
     iso_exists,
-    search_candidates,
     solve_affine_in_span,
 )
 from .structures import DualBasis
 
 FROBENIUS_PRIME_CS = ConstraintSet(right_A_linear=True, right_C_colinear=True,
                                    left_C_colinear=True)
-
-
-def _flat(lm: LinMap) -> list:
-    return [v for row in lm.mat for v in row]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +145,7 @@ def Fprime_separable(e: Entwining) -> Verdict:
         vt = (combine_in_span(f, v1.basis, coeffs) if v1.basis
               else LinMap.zero_map(f, (nc, na), (1,)))
         got = vt.compose(unit_leg.with_shapes((nc,), (nc, na)))
-        return _flat(got.with_shapes((nc,), (1,)).sub(
+        return flat(got.with_shapes((nc,), (1,)).sub(
             target.with_shapes((nc,), (1,))))
 
     part, _ = solve_affine_in_span(f, v1.dim, residual)
@@ -176,7 +173,7 @@ def Gprime_separable(e: Entwining) -> Verdict:
     def residual(coeffs):
         em = (combine_in_span(f, w1.basis, coeffs) if w1.basis
               else LinMap.zero_map(f, (nc,), (na, na)))
-        return _flat(m.compose(em).with_shapes((nc,), (na,)).sub(target))
+        return flat(m.compose(em).with_shapes((nc,), (na,)).sub(target))
 
     part, _ = solve_affine_in_span(f, w1.dim, residual)
     meta = {"W1prime_dim": w1.dim, "definitive": True}
@@ -266,6 +263,19 @@ def _extract_e(e: Entwining, iso_inv: LinMap) -> LinMap:
     return LinMap(f, (nc,), (na, na), tuple(tuple(r) for r in mat))
 
 
+def frobenius_prime_system(e: Entwining) -> BilinearSystem:
+    """The normalization laws of a pair (vartheta, e), bilinear in e in
+    W1' and vartheta in V1'."""
+    na, nc = e.a.dim, e.c.dim
+    v1 = compute_V1prime(e)
+    w1 = compute_W1prime(e)
+    target = flat(e.a.unit_map().compose(e.c.counit_map()).with_shapes((nc,), (na,)))
+    return BilinearSystem(
+        e.field, w1.basis, v1.basis, LinMap.zero_map(e.field, (nc, na), (1,)),
+        lambda em, vt: [x for m in _frobenius_condition_maps(e, em, vt) for x in flat(m)],
+        target + target)
+
+
 def FprimeGprime_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
                            route: str = "auto") -> Verdict:
     """Is (- (x) A, forget-action) a Frobenius pair?
@@ -282,38 +292,18 @@ def FprimeGprime_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
 
     verdict_search = None
     if route in ("auto", "search"):
-        v1 = compute_V1prime(e)
-        w1 = compute_W1prime(e)
-        target = _flat(e.a.unit_map().compose(e.c.counit_map())
-                       .with_shapes((nc,), (na,)))
-
-        def attempt(e_coeffs):
-            em = (combine_in_span(f, w1.basis, e_coeffs) if w1.basis
-                  else LinMap.zero_map(f, (nc,), (na, na)))
-
-            def residual(vt_coeffs):
-                vt = (combine_in_span(f, v1.basis, vt_coeffs) if v1.basis
-                      else LinMap.zero_map(f, (nc, na), (1,)))
-                first, second = _frobenius_condition_maps(e, em, vt)
-                return ([x - t for x, t in zip(_flat(first), target)]
-                        + [x - t for x, t in zip(_flat(second), target)])
-
-            part, _ = solve_affine_in_span(f, v1.dim, residual)
-            if part is None:
-                return None
-            vt = (combine_in_span(f, v1.basis, part) if v1.basis
-                  else LinMap.zero_map(f, (nc, na), (1,)))
-            return {"vartheta": vt, "e": em}
-
-        hit, complete, meta = search_candidates(f, w1.dim, attempt, cfg)
-        meta.update({"V1prime_dim": v1.dim, "W1prime_dim": w1.dim, "route": "search"})
+        system = frobenius_prime_system(e)
+        hit, complete, meta = system.search(cfg)
+        meta.update({"V1prime_dim": len(system.unknowns),
+                     "W1prime_dim": len(system.cands), "route": "search"})
         if hit is not None:
-            bad = frobenius_prime_residual(e, hit["vartheta"], hit["e"])
+            em, vt = hit
+            bad = frobenius_prime_residual(e, vt, em)
             if bad:
                 raise InternalCheckError("Frobenius search witness fails %r" % bad)
             meta["definitive"] = True
             return Verdict(q, "yes", "Frobenius pair found by candidate search",
-                           witness=hit, meta=meta)
+                           witness={"vartheta": vt, "e": em}, meta=meta)
         if complete:
             meta["definitive"] = True
             return Verdict(q, "no",

@@ -35,22 +35,20 @@ from .exactlin import (
     swap_map,
 )
 from .homspaces import (
+    BilinearSystem,
     ConstraintSet,
     SearchConfig,
     Verdict,
     combine_in_span,
+    combine_vec,
+    flat,
     iso_exists,
-    search_candidates,
     solve_affine_in_span,
 )
 from .structures import DualBasis
 
 FROBENIUS_CS = ConstraintSet(right_A_linear=True, right_C_colinear=True,
                              left_A_linear=True)
-
-
-def _flat(lm: LinMap) -> list:
-    return [v for row in lm.mat for v in row]
 
 
 def _theta_laws(e: Entwining, theta: LinMap) -> list[tuple[str, LinMap]]:
@@ -160,7 +158,7 @@ def F_separable(e: Entwining) -> Verdict:
         else:
             th = LinMap.zero_map(f, (nc, nc), (na,))
         diff = th.compose(e.c.comult_map()).with_shapes((nc,), (na,)).sub(target)
-        return _flat(diff)
+        return flat(diff)
 
     part, _ = solve_affine_in_span(f, v1.dim, residual)
     meta = {"V1_dim": v1.dim, "definitive": True}
@@ -185,7 +183,7 @@ def G_separable(e: Entwining) -> Verdict:
     target = list(e.a.unit)
 
     def residual(coeffs):
-        z = _combine_vec(f, w1.basis, coeffs, na * nc)
+        z = combine_vec(f, w1.basis, coeffs, na * nc)
         val = counit_leg.with_shapes((na * nc,), (na,)).apply(z)
         return [x - t for x, t in zip(val, target)]
 
@@ -195,19 +193,11 @@ def G_separable(e: Entwining) -> Verdict:
         return Verdict("G-sep", "no",
                        "unit normalization is infeasible over the z space",
                        meta=meta)
-    z = _combine_vec(f, w1.basis, part, na * nc)
+    z = combine_vec(f, w1.basis, part, na * nc)
     if z_residual(e, z):
         raise InternalCheckError("G-sep witness is not centralized")
     return Verdict("G-sep", "yes", "normalized integral found",
                    witness={"z": tuple(z)}, meta=meta)
-
-
-def _combine_vec(field, basis, coeffs, length):
-    out = [field.zero] * length
-    for s, vec in zip(coeffs, basis):
-        if s:
-            out = [x + s * y for x, y in zip(out, vec)]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +262,19 @@ def _extract_z(e: Entwining, iso_inv: LinMap):
         kron_vec(eps, list(e.a.unit))))
 
 
+def frobenius_system(e: Entwining) -> BilinearSystem:
+    """The normalization laws of a pair (theta, z), bilinear in z in W1 and
+    theta in V1."""
+    na, nc = e.a.dim, e.c.dim
+    v1 = compute_V1(e)
+    w1 = compute_W1(e)
+    target = flat(e.a.unit_map().compose(e.c.counit_map()).with_shapes((nc,), (na,)))
+    return BilinearSystem(
+        e.field, w1.basis, v1.basis, LinMap.zero_map(e.field, (nc, nc), (na,)),
+        lambda z, th: [x for m in _frobenius_condition_maps(e, z, th) for x in flat(m)],
+        target + target)
+
+
 def FG_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
                  route: str = "auto") -> Verdict:
     """Is (forget-coaction, - (x) C) a Frobenius pair?
@@ -289,37 +292,18 @@ def FG_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
 
     verdict_search = None
     if route in ("auto", "search"):
-        v1 = compute_V1(e)
-        w1 = compute_W1(e)
-        target = _flat(e.a.unit_map().compose(e.c.counit_map())
-                       .with_shapes((nc,), (na,)))
-
-        def attempt(z_coeffs):
-            z = _combine_vec(f, w1.basis, z_coeffs, na * nc)
-
-            def residual(theta_coeffs):
-                th = (combine_in_span(f, v1.basis, theta_coeffs) if v1.basis
-                      else LinMap.zero_map(f, (nc, nc), (na,)))
-                first, second = _frobenius_condition_maps(e, z, th)
-                return ([x - t for x, t in zip(_flat(first), target)]
-                        + [x - t for x, t in zip(_flat(second), target)])
-
-            part, _ = solve_affine_in_span(f, v1.dim, residual)
-            if part is None:
-                return None
-            th = (combine_in_span(f, v1.basis, part) if v1.basis
-                  else LinMap.zero_map(f, (nc, nc), (na,)))
-            return {"theta": th, "z": tuple(z)}
-
-        hit, complete, meta = search_candidates(f, w1.dim, attempt, cfg)
-        meta.update({"V1_dim": v1.dim, "W1_dim": w1.dim, "route": "search"})
+        system = frobenius_system(e)
+        hit, complete, meta = system.search(cfg)
+        meta.update({"V1_dim": len(system.unknowns), "W1_dim": len(system.cands),
+                     "route": "search"})
         if hit is not None:
-            bad = frobenius_residual(e, hit["theta"], hit["z"])
+            z, theta = hit
+            bad = frobenius_residual(e, theta, z)
             if bad:
                 raise InternalCheckError("Frobenius search witness fails %r" % bad)
             meta["definitive"] = True
             return Verdict(q, "yes", "Frobenius pair found by candidate search",
-                           witness=hit, meta=meta)
+                           witness={"theta": theta, "z": tuple(z)}, meta=meta)
         if complete:
             meta["definitive"] = True
             return Verdict(q, "no",

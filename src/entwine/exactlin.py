@@ -26,6 +26,7 @@ returning; a failed substitution is an internal error, never a verdict.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -683,6 +684,74 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     basis = _echelon(p, [_sparse(p, r) for r in rows])
     pivots = sorted(basis)
     return [_dense(field, basis[c], ncols) for c in pivots], pivots
+
+
+def is_singular(field: Field, rows: Sequence[Sequence]) -> bool:
+    """Whether the square matrix `rows` is singular, without inverting it.
+
+    Entries may be field elements or raw scalars: ints (any residue) over
+    F_p, ints or Fractions over Q.  Over F_p the columns are eliminated mod
+    p; over Q each row is scaled to integers (which keeps the rank) and the
+    columns are eliminated fraction-free by Bareiss's method, where every
+    division is exact.  Both stop at the first column without a pivot.
+    `rows` is not modified.
+    """
+    p = _modulus(field)
+    if p:
+        try:
+            m = [[x % p for x in row] for row in rows]
+        except TypeError:  # field elements
+            m = [_raw_line(p, row) for row in rows]
+        return _singular_mod(p, m)
+    try:
+        m = [list(map(operator.index, row)) for row in rows]
+    except TypeError:  # Fractions
+        m = []
+        for row in rows:
+            line = [Fraction(x) for x in row]
+            den = math.lcm(*(x.denominator for x in line))
+            m.append([x.numerator * (den // x.denominator) for x in line])
+    return _singular_bareiss(m)
+
+
+def _singular_mod(p: int, m: list[list[int]]) -> bool:
+    """Column elimination mod p in place, stopping at a pivotless column."""
+    n = len(m)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return True
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        inv = pow(top[k], -1, p)
+        tail = [(c, top[c]) for c in range(k + 1, n) if top[c]]
+        for row in m[k + 1:]:
+            if row[k]:
+                f = row[k] * inv % p
+                for c, v in tail:
+                    row[c] = (row[c] - f * v) % p
+    return False
+
+
+def _singular_bareiss(m: list[list[int]]) -> bool:
+    """Fraction-free (Bareiss) column elimination over Z in place, stopping
+    at a pivotless column.  After step k every entry below the pivots is a
+    minor of the matrix, so the division by the previous pivot is exact."""
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return True
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        a = top[k]
+        for row in m[k + 1:]:
+            b = row[k]
+            for c in range(k + 1, n):
+                row[c] = (a * row[c] - b * top[c]) // prev
+        prev = a
+    return False
 
 
 def solve_linear(field: Field, rows: Sequence[Sequence], rhs: Sequence):

@@ -16,17 +16,21 @@ laws on it.  The two search primitives share one soundness story:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactlin import (
+    GF,
     Field,
     InternalCheckError,
     LinearLaws,
     LinMap,
     ParseError,
     Term,
+    is_singular,
     solve_linear,
 )
 from .entwining import EntwinedObject, Entwining
@@ -252,6 +256,67 @@ def combine_in_span(field: Field, basis: Sequence[LinMap], coeffs: Sequence) -> 
     return LinMap(field, b0.dom, b0.cod, tuple(tuple(r) for r in acc))
 
 
+def combine_vec(field: Field, basis: Sequence[Sequence], coeffs: Sequence,
+                length: int) -> list:
+    """sum coeffs_i basis_i for flat vectors of the given length."""
+    out = [field.zero] * length
+    for s, vec in zip(coeffs, basis):
+        if s:
+            out = [x + s * y for x, y in zip(out, vec)]
+    return out
+
+
+def flat(lm: LinMap) -> list:
+    """The entries of a map, row by row."""
+    return [v for row in lm.mat for v in row]
+
+
+def _integers(field: Field, vecs: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Flat vectors of field elements -> (lists of ints, d) with vecs = ints / d:
+    residues and d = 1 over F_p; over Q, the vectors scaled by the least
+    common denominator d of all their entries."""
+    if field.kind == "Fp":
+        return [[x.v for x in v] for v in vecs], 1
+    d = math.lcm(*(x.denominator for v in vecs for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vecs], d
+
+
+def _int_combination(coeffs: Sequence[int], vecs: Sequence[Sequence[int]],
+                     length: int) -> list[int]:
+    acc = [0] * length
+    for s, vec in zip(coeffs, vecs):
+        if s:
+            acc = [a + s * x for a, x in zip(acc, vec)]
+    return acc
+
+
+class _IntSpan:
+    """Integer combinations of fixed integer vectors.  The partial sums over
+    the coefficients the previous point shares as a prefix are reused:
+    enumerated points mostly differ from their predecessor in the last few
+    coordinates only."""
+
+    def __init__(self, vecs: Sequence[Sequence[int]], length: int):
+        self.vecs = vecs
+        self.prev: list = []
+        self.sums = [[0] * length]  # sums[k] = sum_{i<k} prev_i vecs_i
+
+    def at(self, coeffs: Sequence[int]) -> list[int]:
+        k = 0
+        for a, b in zip(self.prev, coeffs):
+            if a != b:
+                break
+            k += 1
+        del self.sums[k + 1:]
+        acc = self.sums[k]
+        for s, vec in zip(coeffs[k:], self.vecs[k:]):
+            if s:
+                acc = [a + s * x for a, x in zip(acc, vec)]
+            self.sums.append(acc)
+        self.prev = list(coeffs)
+        return acc
+
+
 def find_invertible_in_span(field: Field, basis: Sequence[LinMap],
                             cfg: SearchConfig):
     """Search span(basis) for an invertible map.
@@ -261,6 +326,11 @@ def find_invertible_in_span(field: Field, basis: Sequence[LinMap],
     polynomial of degree at most n, and vanishing on the grid {0..n}^dim
     forces it to vanish identically, so a full grid miss certifies "no".
 
+    Each point is combined on integers (residues over F_p; over Q the basis
+    and the point each scaled by a common denominator, which keeps the rank)
+    and tested with `is_singular`; only a nonsingular point is built as a
+    map and inverted.
+
     Returns (status, f, f_inverse, meta).
     """
     if not basis:
@@ -269,13 +339,17 @@ def find_invertible_in_span(field: Field, basis: Sequence[LinMap],
     if basis[0].dim_cod != n:
         return "no", None, None, {"mode": "non-square", "points": 0}
 
-    found = {}
+    span = _IntSpan(_integers(field, [flat(b) for b in basis])[0], n * n)
 
     def attempt(coeffs):
+        (ints,), _ = _integers(field, [coeffs])
+        acc = span.at(ints)
+        if is_singular(field, [acc[r * n:(r + 1) * n] for r in range(n)]):
+            return None
         cand = combine_in_span(field, basis, coeffs)
         inv = cand.inverse()
         if inv is None:
-            return None
+            raise InternalCheckError("a nonsingular candidate has no inverse")
         return {"f": cand, "finv": inv}
 
     grid = None if field.kind == "Fp" else range(n + 1)
@@ -317,13 +391,9 @@ def iso_exists(e: Entwining, x: EntwinedObject, y: EntwinedObject,
 # ---------------------------------------------------------------------------
 # affine solving inside a known span
 
-def solve_affine_in_span(field: Field, dim: int,
-                         residual_at: Callable[[list], Sequence]):
-    """Solve residual(x) = 0 for x in a dim-dimensional coefficient space.
-
-    `residual_at` must be affine in the coefficients.  Returns
-    (particular_coeffs_or_None, kernel_basis).
-    """
+def _affine_system(field: Field, dim: int, residual_at: Callable[[list], Sequence]):
+    """The system rows . x = rhs of an affine residual, probed at zero and at
+    each unit coefficient vector."""
     zero, one = field.zero, field.one
     base = list(residual_at([zero] * dim))
     cols = []
@@ -332,9 +402,20 @@ def solve_affine_in_span(field: Field, dim: int,
         probe[j] = one
         cols.append([x - b for x, b in zip(residual_at(probe), base)])
     rows = [[cols[j][i] for j in range(dim)] for i in range(len(base))]
-    rhs = [-b for b in base]
+    return rows, [-b for b in base]
+
+
+def solve_affine_in_span(field: Field, dim: int,
+                         residual_at: Callable[[list], Sequence]):
+    """Solve residual(x) = 0 for x in a dim-dimensional coefficient space.
+
+    `residual_at` must be affine in the coefficients.  Returns
+    (particular_coeffs_or_None, kernel_basis).
+    """
+    rows, rhs = _affine_system(field, dim, residual_at)
     if not rows:
         # no conditions at all: everything solves
+        zero, one = field.zero, field.one
         kern = []
         for j in range(dim):
             v = [zero] * dim
@@ -342,3 +423,98 @@ def solve_affine_in_span(field: Field, dim: int,
             kern.append(tuple(v))
         return [zero] * dim, kern
     return solve_linear(field, rows, rhs)
+
+
+# ---------------------------------------------------------------------------
+# bilinear witness search
+
+def _combine(field: Field, basis: Sequence, coeffs: Sequence):
+    if isinstance(basis[0], LinMap):
+        return combine_in_span(field, basis, coeffs)
+    return combine_vec(field, basis, coeffs, len(basis[0]))
+
+
+class BilinearSystem:
+    """The laws pair(w, v) = target in a candidate w in span(cands) and an
+    unknown v in span(unknowns), where `pair` is bilinear and returns a flat
+    list of field values; v is `zero` when there are no unknowns.
+
+    At a candidate point c the laws are the linear system
+    sum_j x_j (sum_i c_i pair(W_i, V_j)) = target in the unknown's
+    coordinates x.  `tabulated` builds it from the table
+    pair(W_i, V_j), whose row i is filled the first time a point has
+    c_i != 0, by combining integers; `probed` evaluates the laws on the
+    combined candidate at v = 0 and at each V_j, as `solve_affine_in_span`
+    does.  Both give the same rows and right-hand side.
+    """
+
+    def __init__(self, field: Field, cands: Sequence, unknowns: Sequence, zero,
+                 pair: Callable[[object, object], Sequence], target: Sequence):
+        self.field = field
+        self.cands, self.unknowns, self.zero = cands, unknowns, zero
+        self.pair, self.target = pair, list(target)
+        self._table: dict = {}  # i -> (ints of pair(W_i, V_j) for all j, j-major; d)
+
+    def candidate(self, coeffs: Sequence):
+        return _combine(self.field, self.cands, coeffs)
+
+    def unknown(self, coeffs: Sequence):
+        return _combine(self.field, self.unknowns, coeffs) if self.unknowns else self.zero
+
+    def _row(self, i: int):
+        row = self._table.get(i)
+        if row is None:
+            vals = [x for v in self.unknowns for x in self.pair(self.cands[i], v)]
+            (ints,), d = _integers(self.field, [vals])
+            row = self._table[i] = (ints, d)
+        return row
+
+    def tabulated(self, coeffs: Sequence):
+        """(rows, rhs) of the system at a point, from the table."""
+        f = self.field
+        nv, m = len(self.unknowns), len(self.target)
+        (ints,), d = _integers(f, [coeffs])
+        used = [(s, self._row(i)) for i, s in enumerate(ints) if s]
+        den = math.lcm(*(rd for _, (_, rd) in used))
+        acc = _int_combination([s * (den // rd) for s, (_, rd) in used],
+                               [r for _, (r, _) in used], nv * m)
+        if f.kind == "Fp":
+            cls = GF(f.p)
+            vals = [cls(x) for x in acc]
+        else:
+            den *= d
+            vals = [Fraction(x, den) for x in acc]
+        rows = [vals[r::m] for r in range(m)]
+        return rows, list(self.target)
+
+    def probed(self, coeffs: Sequence):
+        """(rows, rhs) of the system at a point, by evaluating the laws."""
+        w = self.candidate(coeffs)
+        return _affine_system(self.field, len(self.unknowns), lambda x: [
+            a - t for a, t in zip(self.pair(w, self.unknown(x)), self.target)])
+
+    def search(self, cfg: SearchConfig):
+        """Scan candidate points with `search_candidates`, solving each
+        point's tabulated system; returns ((w, v) or None, complete, meta).
+
+        Before a complete scan reports no solution, the system of one
+        scanned point (the first with every coefficient nonzero, else the
+        last) is rebuilt by `probed` and must equal the tabulated one."""
+        f = self.field
+        scanned = []
+
+        def attempt(coeffs):
+            if not scanned or not all(scanned[0]):
+                scanned[:] = [coeffs]
+            rows, rhs = self.tabulated(coeffs)
+            part, _ = solve_linear(f, rows, rhs)
+            if part is None:
+                return None
+            return self.candidate(coeffs), self.unknown(part)
+
+        hit, complete, meta = search_candidates(f, len(self.cands), attempt, cfg)
+        if hit is None and complete and scanned:
+            if self.tabulated(scanned[0]) != self.probed(scanned[0]):
+                raise InternalCheckError(
+                    "tabulated Frobenius system differs from direct evaluation")
+        return hit, complete, meta

@@ -33,11 +33,12 @@ from .exactlin import (
     vec_is_zero,
 )
 from .homspaces import (
+    BilinearSystem,
     SearchConfig,
     Verdict,
     combine_in_span,
+    combine_vec,
     find_invertible_in_span,
-    search_candidates,
     solve_affine_in_span,
 )
 from .structures import (
@@ -240,14 +241,6 @@ def _r_linear_laws(ext: RingExtension, left: bool) -> LinearLaws:
 # ---------------------------------------------------------------------------
 # the three questions
 
-def _combine_vec(field, basis, coeffs, length):
-    out = [field.zero] * length
-    for s, vec in zip(coeffs, basis):
-        if s:
-            out = [x + s * y for x, y in zip(out, vec)]
-    return out
-
-
 def split_check(ext: RingExtension) -> Verdict:
     """Does the extension split: nu in V1 with nu(1_S) = 1_R?"""
     f = ext.field
@@ -281,7 +274,7 @@ def separable_check(ext: RingExtension) -> Verdict:
     target = list(ext.s.unit)
 
     def residual(coeffs):
-        e = _combine_vec(f, w1.basis, coeffs, t.dim)
+        e = combine_vec(f, w1.basis, coeffs, t.dim)
         return [x - y for x, y in zip(mu.apply(e), target)]
 
     part, _ = solve_affine_in_span(f, w1.dim, residual)
@@ -289,7 +282,7 @@ def separable_check(ext: RingExtension) -> Verdict:
     if part is None:
         return Verdict("ext-sep", "no",
                        "no Casimir element multiplies to the unit", meta=meta)
-    e = tuple(_combine_vec(f, w1.basis, part, t.dim))
+    e = tuple(combine_vec(f, w1.basis, part, t.dim))
     if casimir_residual(t, e):
         raise InternalCheckError("separability witness is not Casimir")
     return Verdict("ext-sep", "yes", "separability element found",
@@ -491,6 +484,20 @@ def dual_morphism_space(ext: RingExtension, dspace: list[LinMap]) -> list[LinMap
     return laws.maps((ns,), (len(dspace),))
 
 
+def frobenius_system(ext: RingExtension, t: TensorOverR) -> BilinearSystem:
+    """The normalization laws of a Frobenius system (nu, e), bilinear in the
+    Casimir element e and the expectation nu."""
+    v1 = compute_expectations(ext)
+    w1 = compute_casimir(t)
+    one = list(ext.s.unit)
+    return BilinearSystem(
+        ext.field, w1.basis, v1.basis,
+        LinMap.zero_map(ext.field, (ext.s.dim,), (ext.r.dim,)),
+        lambda evec, nu: [x for half in _frobenius_norms(ext, nu, t.sigma.apply(evec))
+                          for x in half],
+        one + one)
+
+
 def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
                     route: str = "auto") -> Verdict:
     """Is the extension Frobenius?
@@ -508,38 +515,18 @@ def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
 
     verdict_search = None
     if route in ("auto", "search"):
-        v1 = compute_expectations(ext)
-        w1 = compute_casimir(t)
-        one = list(ext.s.unit)
-
-        def attempt(e_coeffs):
-            evec = _combine_vec(f, w1.basis, e_coeffs, t.dim)
-            lift = t.sigma.apply(evec)
-
-            def residual(nu_coeffs):
-                nu = (combine_in_span(f, v1.basis, nu_coeffs) if v1.basis
-                      else LinMap.zero_map(f, (ns,), (ext.r.dim,)))
-                first, second = _frobenius_norms(ext, nu, lift)
-                return ([x - y for x, y in zip(first, one)]
-                        + [x - y for x, y in zip(second, one)])
-
-            part, _ = solve_affine_in_span(f, v1.dim, residual)
-            if part is None:
-                return None
-            nu = (combine_in_span(f, v1.basis, part) if v1.basis
-                  else LinMap.zero_map(f, (ns,), (ext.r.dim,)))
-            return {"nu": nu, "e": tuple(evec)}
-
-        hit, complete, meta = search_candidates(f, w1.dim, attempt, cfg)
-        meta.update({"V1_dim": v1.dim, "W1_dim": w1.dim,
+        system = frobenius_system(ext, t)
+        hit, complete, meta = system.search(cfg)
+        meta.update({"V1_dim": len(system.unknowns), "W1_dim": len(system.cands),
                      "tensor_dim": t.dim, "route": "search"})
         if hit is not None:
-            bad = frobenius_residual(ext, t, hit["nu"], hit["e"])
+            evec, nu = hit
+            bad = frobenius_residual(ext, t, nu, evec)
             if bad:
                 raise InternalCheckError("Frobenius search witness fails %r" % bad)
             meta["definitive"] = True
             return Verdict(q, "yes", "Frobenius system found by candidate search",
-                           witness=hit, meta=meta)
+                           witness={"nu": nu, "e": tuple(evec)}, meta=meta)
         if complete:
             meta["definitive"] = True
             return Verdict(q, "no",

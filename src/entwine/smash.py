@@ -32,10 +32,11 @@ from .exactlin import (
 )
 from .entwining import Entwining, check_entwining
 from .homspaces import (
+    BilinearSystem,
     SearchConfig,
     Verdict,
     combine_in_span,
-    search_candidates,
+    combine_vec,
     solve_affine_in_span,
 )
 from .ringext import RingExtension, frobenius_check, tensor_over_R
@@ -251,10 +252,47 @@ def _w3_ops(fact: Factorization) -> list[tuple[str, LinMap]]:
 
 
 def w3_residual(fact: Factorization, vec) -> list[str]:
+    """Whether b e = e b for every basis element b of B and of A, for one e
+    in B (x) B (x) A; evaluated on e from the structure constants of B, A
+    and R, not through the operators `compute_W3` solves."""
+    f = fact.field
+    nb, na = fact.b.dim, fact.a.dim
+    multb, multa = fact.b.mult, fact.a.mult
+    rm = fact.rmap.mat
+    # r_img[a][b]: the nonzero (b2, a2, coefficient) of R(e_a (x) e_b)
+    r_img = [[[(b2, a2, rm[b2 * na + a2][a * nb + b])
+               for b2 in range(nb) for a2 in range(na) if rm[b2 * na + a2][a * nb + b]]
+              for b in range(nb)] for a in range(na)]
+    terms = [(idx // (nb * na), idx // na % nb, idx % na, x)
+             for idx, x in enumerate(vec) if x]
     bad = []
-    for name, op in _w3_ops(fact):
-        if name not in bad and not vec_is_zero(op.apply(vec)):
-            bad.append(name)
+    for bi in range(nb):
+        diff = [f.zero] * len(vec)
+        for i, j, k, x in terms:
+            for t, m in enumerate(multb[bi][i]):  # b e1 (x) e2 (x) e3
+                if m:
+                    diff[(t * nb + j) * na + k] += m * x
+            for b2, a2, rv in r_img[k][bi]:  # e1 (x) e2 b_R (x) e3_R
+                for t, m in enumerate(multb[j][b2]):
+                    if m:
+                        diff[(i * nb + t) * na + a2] -= m * rv * x
+        if not vec_is_zero(diff):
+            bad.append("casimir-B")
+            break
+    for ai in range(na):
+        diff = [f.zero] * len(vec)
+        for i, j, k, x in terms:
+            for b2, a2, rv in r_img[ai][i]:  # e1_R (x) e2_r (x) a_Rr e3
+                for b3, a3, rw in r_img[a2][j]:
+                    for t, m in enumerate(multa[a3][k]):
+                        if m:
+                            diff[(b2 * nb + b3) * na + t] += rv * rw * m * x
+            for t, m in enumerate(multa[k][ai]):  # e1 (x) e2 (x) e3 a
+                if m:
+                    diff[(i * nb + j) * na + t] -= m * x
+        if not vec_is_zero(diff):
+            bad.append("casimir-A")
+            break
     return bad
 
 
@@ -326,7 +364,7 @@ def smash_separable_A(fact: Factorization) -> Verdict:
     dim = nb * nb * na
 
     def residual(coeffs):
-        e = _combine_vec(f, w3.basis, coeffs, dim)
+        e = combine_vec(f, w3.basis, coeffs, dim)
         return [x - y for x, y in zip(mu.apply(e), target)]
 
     part, _ = solve_affine_in_span(f, w3.dim, residual)
@@ -334,50 +372,53 @@ def smash_separable_A(fact: Factorization) -> Verdict:
     if part is None:
         return Verdict("smash-A-sep", "no",
                        "no Casimir element contracts to the unit", meta=meta)
-    e = tuple(_combine_vec(f, w3.basis, part, dim))
+    e = tuple(combine_vec(f, w3.basis, part, dim))
     if w3_residual(fact, e):
         raise InternalCheckError("separability witness is not Casimir")
     return Verdict("smash-A-sep", "yes", "separability element found",
                    witness={"e": e}, meta=meta)
 
 
-def _combine_vec(field, basis, coeffs, length):
-    out = [field.zero] * length
-    for s, vec in zip(coeffs, basis):
-        if s:
-            out = [x + s * y for x, y in zip(out, vec)]
-    return out
-
-
-def _frobenius_conditions(fact: Factorization, kappa: LinMap, evec) -> list:
-    """Both normalizations applied to e, minus 1 (x) 1, concatenated."""
+def _frobenius_values(fact: Factorization, kappa: LinMap, evec) -> list:
+    """Both normalizations applied to e, concatenated; a Frobenius system
+    has 1 (x) 1 in each half."""
     f = fact.field
     nb, na = fact.b.dim, fact.a.dim
     ida = LinMap.identity(f, (na,))
     idb = LinMap.identity(f, (nb,))
     k = kappa.with_shapes((nb,), (na,))
     ma = fact.a.mult_map()
-    target = list(kron_vec(fact.b.unit, fact.a.unit))
     # e2_R (x) kappa(e1)_R e3
     twisted = (idb.tensor(ma)
                .compose(fact.rmap.tensor(ida))
                .compose(k.tensor(idb).tensor(ida)))
     # e1 (x) kappa(e2) e3
     plain = idb.tensor(ma).compose(idb.tensor(k).tensor(ida))
-    out = [x - y for x, y in zip(twisted.apply(evec), target)]
-    out.extend(x - y for x, y in zip(plain.apply(evec), target))
-    return out
+    return list(twisted.apply(evec)) + list(plain.apply(evec))
 
 
 def frobenius_smash_residual(fact: Factorization, kappa: LinMap, evec) -> list[str]:
     bad = kappa_residual(fact, kappa) + w3_residual(fact, evec)
-    cond = _frobenius_conditions(fact, kappa, evec)
-    half = len(cond) // 2
-    if not vec_is_zero(cond[:half]):
+    target = list(kron_vec(fact.b.unit, fact.a.unit))
+    values = _frobenius_values(fact, kappa, evec)
+    half = len(values) // 2
+    if values[:half] != target:
         bad.append("frobenius-normalization-twisted")
-    if not vec_is_zero(cond[half:]):
+    if values[half:] != target:
         bad.append("frobenius-normalization-plain")
     return bad
+
+
+def frobenius_smash_system(fact: Factorization) -> BilinearSystem:
+    """The normalization laws of a Frobenius system (kappa, e), bilinear in
+    e in W3 and kappa in V3."""
+    v3 = compute_V3(fact)
+    w3 = compute_W3(fact)
+    target = list(kron_vec(fact.b.unit, fact.a.unit))
+    return BilinearSystem(
+        fact.field, w3.basis, v3.basis,
+        LinMap.zero_map(fact.field, (fact.b.dim,), (fact.a.dim,)),
+        lambda evec, k: _frobenius_values(fact, k, evec), target + target)
 
 
 def smash_frobenius_A(fact: Factorization, cfg: SearchConfig = SearchConfig(),
@@ -397,34 +438,18 @@ def smash_frobenius_A(fact: Factorization, cfg: SearchConfig = SearchConfig(),
 
     verdict_search = None
     if route in ("auto", "search"):
-        v3 = compute_V3(fact)
-        w3 = compute_W3(fact)
-        dim = nb * nb * na
-
-        def attempt(e_coeffs):
-            evec = _combine_vec(f, w3.basis, e_coeffs, dim)
-
-            def residual(k_coeffs):
-                k = (combine_in_span(f, v3.basis, k_coeffs) if v3.basis
-                     else LinMap.zero_map(f, (nb,), (na,)))
-                return _frobenius_conditions(fact, k, evec)
-
-            part, _ = solve_affine_in_span(f, v3.dim, residual)
-            if part is None:
-                return None
-            k = (combine_in_span(f, v3.basis, part) if v3.basis
-                 else LinMap.zero_map(f, (nb,), (na,)))
-            return {"kappa": k, "e": tuple(evec)}
-
-        hit, complete, meta = search_candidates(f, w3.dim, attempt, cfg)
-        meta.update({"V3_dim": v3.dim, "W3_dim": w3.dim, "route": "search"})
+        system = frobenius_smash_system(fact)
+        hit, complete, meta = system.search(cfg)
+        meta.update({"V3_dim": len(system.unknowns), "W3_dim": len(system.cands),
+                     "route": "search"})
         if hit is not None:
-            bad = frobenius_smash_residual(fact, hit["kappa"], hit["e"])
+            evec, kappa = hit
+            bad = frobenius_smash_residual(fact, kappa, evec)
             if bad:
                 raise InternalCheckError("Frobenius search witness fails %r" % bad)
             meta["definitive"] = True
             return Verdict(q, "yes", "Frobenius system found by candidate search",
-                           witness=hit, meta=meta)
+                           witness={"kappa": kappa, "e": tuple(evec)}, meta=meta)
         if complete:
             meta["definitive"] = True
             return Verdict(q, "no",

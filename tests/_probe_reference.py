@@ -1,4 +1,5 @@
-"""Reference solution spaces built by probing, for differential tests.
+"""Reference solution spaces and Frobenius systems built by probing, for
+differential tests.
 
 Every solution space here is computed the slow, obvious way: evaluate the
 defining laws with dense LinMap algebra on each matrix unit of the unknown
@@ -12,7 +13,7 @@ equal, not just span the same space.
 
 from entwine import actforget, coforget, homspaces, ringext, smash
 from entwine.entwining import std_object_AC
-from entwine.exactlin import LinMap, basis_vec, hom_probe_matrix, nullspace, prod
+from entwine.exactlin import LinMap, basis_vec, hom_probe_matrix, kron_vec, nullspace, prod
 
 
 def probe_maps(field, dom, cod, law_values):
@@ -124,3 +125,119 @@ def dual_morphism_space(ext, dspace):
         return out
 
     return probe_maps(f, (ns,), (len(dspace),), values)
+
+
+# -- Frobenius systems, probed at each point --------------------------------
+#
+# The systems a Frobenius search solves at one candidate point, built as the
+# search once built them: combine the candidate, evaluate the normalization
+# laws at the zero unknown and at each unit coefficient vector of the
+# unknown, and read the rows and right-hand side off the differences.  Each
+# function takes the structure and returns the system as a function of the
+# candidate's coefficients.
+
+def affine_system(field, dim, residual_at):
+    zero, one = field.zero, field.one
+    base = list(residual_at([zero] * dim))
+    cols = []
+    for j in range(dim):
+        probe = [zero] * dim
+        probe[j] = one
+        cols.append([x - b for x, b in zip(residual_at(probe), base)])
+    rows = [[cols[j][i] for j in range(dim)] for i in range(len(base))]
+    return rows, [-b for b in base]
+
+
+def _vec_in_span(field, basis, coeffs):
+    out = [field.zero] * len(basis[0])
+    for s, vec in zip(coeffs, basis):
+        if s:
+            out = [x + s * y for x, y in zip(out, vec)]
+    return out
+
+
+def _map_in_span(field, basis, coeffs, dom, cod):
+    if basis:
+        return homspaces.combine_in_span(field, basis, coeffs)
+    return LinMap.zero_map(field, dom, cod)
+
+
+def _entries(lm):
+    return [v for row in lm.mat for v in row]
+
+
+def fg_frobenius_system(e):
+    f = e.field
+    na, nc = e.a.dim, e.c.dim
+    v1, w1 = coforget.compute_V1(e), coforget.compute_W1(e)
+    target = _entries(e.a.unit_map().compose(e.c.counit_map()).with_shapes((nc,), (na,)))
+
+    def at(z_coeffs):
+        z = _vec_in_span(f, w1.basis, z_coeffs)
+
+        def residual(theta_coeffs):
+            th = _map_in_span(f, v1.basis, theta_coeffs, (nc, nc), (na,))
+            first, second = coforget._frobenius_condition_maps(e, z, th)
+            return ([x - t for x, t in zip(_entries(first), target)]
+                    + [x - t for x, t in zip(_entries(second), target)])
+
+        return affine_system(f, v1.dim, residual)
+
+    return at
+
+
+def fpgp_frobenius_system(e):
+    f = e.field
+    na, nc = e.a.dim, e.c.dim
+    v1, w1 = actforget.compute_V1prime(e), actforget.compute_W1prime(e)
+    target = _entries(e.a.unit_map().compose(e.c.counit_map()).with_shapes((nc,), (na,)))
+
+    def at(e_coeffs):
+        em = homspaces.combine_in_span(f, w1.basis, e_coeffs)
+
+        def residual(vt_coeffs):
+            vt = _map_in_span(f, v1.basis, vt_coeffs, (nc, na), (1,))
+            first, second = actforget._frobenius_condition_maps(e, em, vt)
+            return ([x - t for x, t in zip(_entries(first), target)]
+                    + [x - t for x, t in zip(_entries(second), target)])
+
+        return affine_system(f, v1.dim, residual)
+
+    return at
+
+
+def ext_frobenius_system(ext):
+    f = ext.field
+    t = ringext.tensor_over_R(ext)
+    v1, w1 = ringext.compute_expectations(ext), ringext.compute_casimir(t)
+    one = list(ext.s.unit)
+
+    def at(e_coeffs):
+        lift = t.sigma.apply(_vec_in_span(f, w1.basis, e_coeffs))
+
+        def residual(nu_coeffs):
+            nu = _map_in_span(f, v1.basis, nu_coeffs, (ext.s.dim,), (ext.r.dim,))
+            first, second = ringext._frobenius_norms(ext, nu, lift)
+            return ([x - y for x, y in zip(first, one)]
+                    + [x - y for x, y in zip(second, one)])
+
+        return affine_system(f, v1.dim, residual)
+
+    return at
+
+
+def smash_frobenius_system(fact):
+    f = fact.field
+    v3, w3 = smash.compute_V3(fact), smash.compute_W3(fact)
+    target = list(kron_vec(fact.b.unit, fact.a.unit)) * 2
+
+    def at(e_coeffs):
+        evec = _vec_in_span(f, w3.basis, e_coeffs)
+
+        def residual(k_coeffs):
+            k = _map_in_span(f, v3.basis, k_coeffs, (fact.b.dim,), (fact.a.dim,))
+            return [x - y for x, y in zip(smash._frobenius_values(fact, k, evec), target)]
+
+        return affine_system(f, v3.dim, residual)
+
+    return at

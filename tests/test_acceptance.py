@@ -1,4 +1,5 @@
-"""Acceptance gate: ten criteria, one test and one pass/fail line each.
+"""Acceptance gate: ten criteria, one test and one pass/fail line each, plus
+a speed guard for the witness search.
 
 Every equality here is exact (rational or modular arithmetic, tolerance 0),
 and each criterion asserts its own wall-time budget.
@@ -45,6 +46,7 @@ from entwine.corpus import (
     corpus_factorizations,
     cyclic_group_algebra,
     dual_numbers_coalgebra,
+    grouplike_coalgebra,
     matrix_algebra,
     trivial_algebra,
     unit_extension,
@@ -115,7 +117,7 @@ class budget:
         if exc_type is None:
             elapsed = time.monotonic() - self.t0
             assert elapsed < self.seconds, (
-                "budget exceeded: %.2fs >= %ds" % (elapsed, self.seconds))
+                "budget exceeded: %.2fs >= %gs" % (elapsed, self.seconds))
         return False
 
 
@@ -405,3 +407,15 @@ def test_criterion_10_corpus_run_byte_determinism(monkeypatch):
         assert serial == first
         rep = json.loads(first)
         assert rep["ok"] and rep["failed"] == 0
+
+
+def test_speed_guard_invertibility_search_over_q():
+    """flip(kC4, GL2) over Q, FG-frob on the iso route: the invertibility
+    search scans 6562 grid points of an 8-dimensional morphism space before
+    it hits.  Points are tested for singularity on integers and only the hit
+    is inverted; inverting every point took over 3 s."""
+    e = Entwining.flip(cyclic_group_algebra(QQ, 4), grouplike_coalgebra(QQ, 2))
+    with budget(1.5):
+        v = FG_frobenius(e, route="iso")
+    assert v.status == "yes" and v.meta["points"] == 6562
+    assert frobenius_residual(e, v.witness["theta"], v.witness["z"]) == []

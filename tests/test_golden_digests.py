@@ -1,16 +1,22 @@
-"""Pinned digests of the verdict reports for every corpus entry over F2 and F3.
+"""Pinned digests of the verdict reports for every corpus entry over F2, F3 and Q.
 
 Each report is `json.dumps(cli.verdict_report(...), sort_keys=True)` for one
 (entry, question, route): the FG-, FpGp- and smash-frob questions for every
 entwining, smash-frob for every factorization and ext-frob for every
-extension, each on the "search" and the "iso" route.  A report holds the verdict, the witness matrices and
-the search metadata, so any change to a solution-space basis, a search
-order or a witness shows up here as a changed digest.
+extension, each on the "search" and the "iso" route.  A report holds the
+verdict, the witness matrices and the search metadata, so any change to a
+solution-space basis, a search order or a witness shows up here as a
+changed digest.
 
-The digests were generated from the code before the linear laws were
-assembled by contraction (when every solution space was still built by
-probing each matrix unit), so this test pins that the new builder and the
-integer elimination kernel reproduce the old output byte for byte.
+The F2 and F3 digests were generated from the code before the linear laws
+were assembled by contraction (when every solution space was still built
+by probing each matrix unit), so they pin that the contraction builder and
+the integer elimination kernel reproduce the old output byte for byte.
+The Q digests were generated from the code before witness searches ran on
+raw scalars (when every search point was inverted as a LinMap and every
+Frobenius system was re-probed per point), so they pin that the
+fraction-free singularity test, the tabulated bilinear systems and the Q
+grid order reproduce the old output byte for byte.
 Regenerate them only for a change that is meant to alter a witness:
 
     PYTHONPATH=src python tests/test_golden_digests.py
@@ -30,7 +36,7 @@ from entwine.homspaces import SearchConfig
 from entwine.ringext import RingExtension, frobenius_check
 from entwine.smash import Factorization, entwining_to_factorization, smash_frobenius_A
 
-FIELDS = (("F2", Field("Fp", 2)), ("F3", Field("Fp", 3)))
+FIELDS = (("F2", Field("Fp", 2)), ("F3", Field("Fp", 3)), ("Q", Field("Q")))
 ROUTES = ("search", "iso")
 ARGS = SimpleNamespace(seed=0, enum_budget=1 << 16, trials=64)
 CFG = SearchConfig(enum_budget=ARGS.enum_budget, trials=ARGS.trials, seed=ARGS.seed)
@@ -306,6 +312,122 @@ PINNED = {
         'c29506387364d45cb68a50fc44f6cb446b67200dfddcf1dbd43a22c524636fb6',
     'F3/ext-id-kC2/ext-frob/iso':
         '96132d3d739990794d3cacfd05d2b641a2515feb31e09262e0fc799f5b3ef3d6',
+    'Q/flip-k-GL2/FG-frob/search':
+        '019389d78835d5c6b66e2f0a9a0bc6a5d5568b698e76f86ea864c63c6464688c',
+    'Q/flip-k-GL2/FG-frob/iso':
+        '1d5b02a347fe8bbb5fc010264db182c8b53525ed0eb6bb6ec644bca5f95d8b0c',
+    'Q/flip-k-GL2/FpGp-frob/search':
+        '35cd8efc391ce39f6d025afd595618af1040cac7684f59c7c8cebdda0e6d6a15',
+    'Q/flip-k-GL2/FpGp-frob/iso':
+        'f59e3e96e4589a170a963da62069d8668a5bd1c151f1740201db8013e65acc53',
+    'Q/flip-k-GL2/smash-frob/search':
+        'f77dcc3497ae749842981a41a573389a9860b8196764cb0185299fce42770a09',
+    'Q/flip-k-GL2/smash-frob/iso':
+        '4c5a92331cd8ee30fa5449412c7927b1ef6d3663fb946d98f22b00e5daef880c',
+    'Q/flip-k-DN/FG-frob/search':
+        'b96390a5bd57eddc8af2e0d366402434ee6676992e17dbe3f551c4491f888266',
+    'Q/flip-k-DN/FG-frob/iso':
+        '4b52a51c98c782323ac64c137508209566070c79c2a726b74aa0a0cfce2e1349',
+    'Q/flip-k-DN/FpGp-frob/search':
+        '57746537cc975469e9ebb472ea4046d8cdc67d4c7fd82a71e42cbd5554325806',
+    'Q/flip-k-DN/FpGp-frob/iso':
+        'a0fa0b6f4ac575422ee2812c7f79e973ab764c94af44b7da63469728dbfe9521',
+    'Q/flip-k-DN/smash-frob/search':
+        '81ad20bf9342d84cad3cb0f586d1e8150d9e8961a6ff21dea4f7e420ebc2c81b',
+    'Q/flip-k-DN/smash-frob/iso':
+        '039364b290cdd0e251454792de343378988c276314ab6f4ce85e6e12a1e67876',
+    'Q/flip-kC2-GL2/FG-frob/search':
+        '2b9f84afd2e162f7c4f414835dcf0b6d77d2ba04e2b3df29b01139c54ced141c',
+    'Q/flip-kC2-GL2/FG-frob/iso':
+        '1cab171130a8861cb56918bf31584490abeb4f8c04b5bba0dca3319ec73c8c5f',
+    'Q/flip-kC2-GL2/FpGp-frob/search':
+        '18d0ad3256dc64c4da1a1e8d3a9fabcb510272f9195942249266b463f4c9ebe2',
+    'Q/flip-kC2-GL2/FpGp-frob/iso':
+        'b43276c6e0063aa0b271070a63b3a0f6f20aecc6f142dc27b1b4fe96c507f05b',
+    'Q/flip-kC2-GL2/smash-frob/search':
+        'fb8f1b8647d854f78480a0d9117534ade5836cd35c3df212ba9680eb8adfc6dd',
+    'Q/flip-kC2-GL2/smash-frob/iso':
+        'f2406f2447add2c144ae8c85816d5dd3e2fb5e836a157ec58cc53c63479bb672',
+    'Q/flip-kC2-DN/FG-frob/search':
+        '6de2f34198113602671ccc8b9c97af3cd71615284f64e89e6f72daf7677e1926',
+    'Q/flip-kC2-DN/FG-frob/iso':
+        '4d8f384690712983fb392c28995f60415a467912eb7c8f3d479848533b485bc5',
+    'Q/flip-kC2-DN/FpGp-frob/search':
+        '8e5201462deadbf90778a817cdbb49e1902612e94bc54b6da152c8716c4b672d',
+    'Q/flip-kC2-DN/FpGp-frob/iso':
+        'c5898069af2e638a4130d43cdb76781df3195911b80bdcdde7b187f0d4bdc5d5',
+    'Q/flip-kC2-DN/smash-frob/search':
+        'd82937a04e92cd4e2fd244058ac1962f11d4a9b396d8d370f899b609761a7709',
+    'Q/flip-kC2-DN/smash-frob/iso':
+        'cac7ce3ac3332b26aa56549fd0a80b2b5eb278c46e9877c87dd7126e48445732',
+    'Q/flip-M2-GL1/FG-frob/search':
+        '70a51fe61d9acff000a8fcc3820043a0e4769aa8223c7a487982d73168ae7acf',
+    'Q/flip-M2-GL1/FG-frob/iso':
+        '69dfad0a6ab053dd488c1d3c9b89bd6472a416efd74c60a2e2852b5c372320e3',
+    'Q/flip-M2-GL1/FpGp-frob/search':
+        'b952e826cbbd3b673045b9f17751f604e24a537ca2d9e1fd86eb9e883230459a',
+    'Q/flip-M2-GL1/FpGp-frob/iso':
+        'a9c9959e0b17d3ef6c50a27728cddd82aa5199a9085057825ba778dca5def1ae',
+    'Q/flip-M2-GL1/smash-frob/search':
+        'b0df4292deeb66a81738f5d8b0cc57d37dd69a4df607b4763db85b6b0f07b7a6',
+    'Q/flip-M2-GL1/smash-frob/iso':
+        'c481e78981aedb9b09a9ae16f1d27e8582e4037379031cbda5b433486a5e459d',
+    'Q/flip-k-arrow/FG-frob/search':
+        'dd82e5205a53f4395e40da722f97cbfc3a6a6d689fb6ebdcc074eab96a292bcb',
+    'Q/flip-k-arrow/FG-frob/iso':
+        'e927a27a6c9ff5dea625c43300e4f65d2b3928523a13d080b07cca3bcb453e73',
+    'Q/flip-k-arrow/FpGp-frob/search':
+        '14915f82a5d471a0a17477350c161676d63a86b8fe60d6f9ae3274aa7cb8682e',
+    'Q/flip-k-arrow/FpGp-frob/iso':
+        '60617283734991b7cf5e1ae520de987a47e6357620deb09806a2c0725170e3e4',
+    'Q/flip-k-arrow/smash-frob/search':
+        '21d74e379f9bd3b1b45f460dccb1086ba9047b8f48756b7a6f554fb9454ad121',
+    'Q/flip-k-arrow/smash-frob/iso':
+        '74dea34e883ca3953bd4c4e6cc3889b0691b135afefa56e79cb970965711c160',
+    'Q/doihopf-kC2/FG-frob/search':
+        '34a5f78b87d3da191483989e149bee913edc28baafa149c0c8aa65b2e4b1f3b0',
+    'Q/doihopf-kC2/FG-frob/iso':
+        '598483ab28fffa13e52552fa6cac86851717c50cfb413d638e48d18d320199c3',
+    'Q/doihopf-kC2/FpGp-frob/search':
+        '0ab141a549e00657033a3097d9d5e5cb8a4b3a36b50329446047d9f563e59cfc',
+    'Q/doihopf-kC2/FpGp-frob/iso':
+        '691a30ee6099ca6d7a0ea9578ee32c4e00f7ad7d1efcaf9a5b122b0bdb744af4',
+    'Q/doihopf-kC2/smash-frob/search':
+        '81e8ba1938b8e2ea8dfa68fc46afd65859d1456264c4b1c6ebb4a884d8a6d983',
+    'Q/doihopf-kC2/smash-frob/iso':
+        'f5ba3630f7226c3265468472581805249743b1d92e902ea836324ec37abc7c3e',
+    'Q/fact-doihopf-kC2/smash-frob/search':
+        '81e8ba1938b8e2ea8dfa68fc46afd65859d1456264c4b1c6ebb4a884d8a6d983',
+    'Q/fact-doihopf-kC2/smash-frob/iso':
+        'f5ba3630f7226c3265468472581805249743b1d92e902ea836324ec37abc7c3e',
+    'Q/fact-flip-kC2-kC2/smash-frob/search':
+        'd5833d5511a28cd95bfa5db36310d5a775a8a1623dfbc7d1a226e240c6445ee3',
+    'Q/fact-flip-kC2-kC2/smash-frob/iso':
+        'b6824a8f844954b559c7bffae640b14cc9ff68310634ff64f40eeba7e96c2bf9',
+    'Q/fact-flip-T2-k/smash-frob/search':
+        '21d74e379f9bd3b1b45f460dccb1086ba9047b8f48756b7a6f554fb9454ad121',
+    'Q/fact-flip-T2-k/smash-frob/iso':
+        '74dea34e883ca3953bd4c4e6cc3889b0691b135afefa56e79cb970965711c160',
+    'Q/ext-k-kC2/ext-frob/search':
+        'b6e5ad1d57c4e14b9e590e0c192f9179be267eb114389389d4a5baf02eda6e39',
+    'Q/ext-k-kC2/ext-frob/iso':
+        '55943f6354379c8e08a3d36a3862f33d30056fe808b05251ef46a9674281deb2',
+    'Q/ext-k-kC3/ext-frob/search':
+        '43591bc0af693517b875fa0be075154855c61960ec153a79c515d140ebe17a4a',
+    'Q/ext-k-kC3/ext-frob/iso':
+        '847807a710815bff5225715ac2eb53d3fe821106876260142942d012186a2e98',
+    'Q/ext-k-M2/ext-frob/search':
+        '5916b279ef84850c70f345fe1b24c3ab1f09b7cf4ada4a08af04207c9193fce4',
+    'Q/ext-k-M2/ext-frob/iso':
+        '0c71c103cfe3d5115809dc787ba548e7c0b8eb2a311b860e2209edce1723851c',
+    'Q/ext-k-T2/ext-frob/search':
+        'fe455a1d8f22037917fc5db1fce99699006159fe2b163190ce4fef028ea66bdd',
+    'Q/ext-k-T2/ext-frob/iso':
+        '4699486389251d297857b577fb7bd8f02dee4e539443808c1a14ecbe635c962f',
+    'Q/ext-id-kC2/ext-frob/search':
+        'fcea5d9503dc5a839a7b8709e9208c518dd8c53e4028c0e494fae39631ce13fb',
+    'Q/ext-id-kC2/ext-frob/iso':
+        '1b0d02974d89a74adce59cde97d40cbf0d7a7ee25147de94f91dd6cdee9148da',
 }
 
 

@@ -1,6 +1,6 @@
 """The exact elimination kernel against sympy's, over Q and GF(p).
 
-`rref`, `nullspace`, `LinMap.inverse` and `LinMap.rank` are compared with
+`rref`, `nullspace`, `LinMap.inverse`, `LinMap.rank` and `is_singular` are compared with
 sympy's DomainMatrix on random matrices over Q and over GF(p) for p = 2, 3,
 7 and the prime 2^61 - 1 just below the supported bound.  The reduced row
 echelon form is unique, so it must agree exactly; the nullspace basis must
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entwine.exactlin import QQ, Field, LinMap, nullspace, rref
+from entwine.exactlin import QQ, Field, LinMap, is_singular, nullspace, rref
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF as SymGF  # noqa: E402
@@ -114,3 +114,50 @@ def test_rank_matches_sympy(case):
     field, rows = case
     lm = LinMap.from_rows(field, (len(rows[0]),), (len(rows),), rows)
     assert lm.rank() == to_sympy(field, rows).rank()
+
+
+@st.composite
+def square_cases(draw):
+    """(field, rows) square, where a drawn share of the matrices is made
+    singular by construction: a zero row, or one row replaced by a
+    combination of the others (with fractional weights over Q)."""
+    field, rows = draw(matrices(square=True))
+    n = len(rows)
+    how = draw(st.sampled_from(("as drawn", "zero row", "combination")))
+    target = draw(st.integers(0, n - 1))
+    if how == "zero row":
+        rows[target] = [field.zero] * n
+    elif how == "combination" and n > 1:
+        if field.kind == "Q":
+            weight = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        else:
+            weight = st.integers(0, field.p - 1).map(field.of)
+        combo = [field.zero] * n
+        for i in range(n):
+            if i != target:
+                w = draw(weight)
+                combo = [c + w * x for c, x in zip(combo, rows[i])]
+        rows[target] = combo
+    return field, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_cases())
+def test_is_singular_matches_sympy_det(case):
+    """Field elements and raw scalars (unreduced ints over GF(p), Fractions
+    and integer-scaled rows over Q) give the verdict of sympy's determinant
+    and of LinMap.inverse; the input is left unmodified."""
+    field, rows = case
+    n = len(rows)
+    want = to_sympy(field, rows).det() == 0
+    assert (LinMap.from_rows(field, (n,), (n,), rows).inverse() is None) == want
+    before = [list(r) for r in rows]
+    assert is_singular(field, rows) == want
+    assert rows == before
+    if field.kind == "Q":
+        raw = [[x.numerator * (7 ** 3) // x.denominator for x in row]
+               if all(x.denominator == 1 for x in row) else list(row) for row in rows]
+    else:
+        raw = [[x.v + field.p * ((i + j) % 3 - 1) for j, x in enumerate(row)]
+               for i, row in enumerate(rows)]
+    assert is_singular(field, raw) == want

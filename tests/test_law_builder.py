@@ -150,6 +150,41 @@ def test_casimir_residual_is_the_casimir_laws(ext):
         assert (ringext.casimir_residual(t, vec) == []) == central
 
 
+def _w3_verdict(ops, vec):
+    """The labels of the W3 operators that do not kill vec, each once."""
+    bad = []
+    for name, op in ops:
+        if name not in bad and not vec_is_zero(op.apply(vec)):
+            bad.append(name)
+    return bad
+
+
+FACTORIZATIONS = _corpus(corpus_factorizations) + [
+    pytest.param(smash.entwining_to_factorization(e, validate=False),
+                 id="%s-from-%s" % (tag, name))
+    for tag, field in FIELDS for name, e in corpus_entwinings(field)]
+
+
+@pytest.mark.parametrize("fact", FACTORIZATIONS)
+def test_w3_residual_is_the_w3_operators(fact):
+    """w3_residual evaluates on the element from structure constants; it must
+    give the verdicts of the operators compute_W3 solves on the W3 basis,
+    on the vectors that satisfy only the B-laws or only the A-laws, and on
+    seeded random vectors."""
+    f, rng = fact.field, random.Random(0)
+    n = fact.b.dim * fact.b.dim * fact.a.dim
+    ops = smash._w3_ops(fact)
+    vectors = list(smash.compute_W3(fact).basis) + _samples(f, n, rng)
+    for kind in ("casimir-B", "casimir-A"):
+        laws = LinearLaws(f, 1, n)
+        for name, op in ops:
+            if name == kind:
+                laws.add(Term(left=op))
+        vectors += laws.kernel()
+    for vec in vectors:
+        assert smash.w3_residual(fact, vec) == _w3_verdict(ops, vec)
+
+
 # -- the builder on its own -------------------------------------------------
 
 def test_no_laws_keep_every_unknown():
