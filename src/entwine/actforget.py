@@ -286,8 +286,6 @@ def FprimeGprime_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
     """
     if route not in ("auto", "search", "iso"):
         raise ValueError("route must be auto, search, or iso")
-    f = e.field
-    na, nc = e.a.dim, e.c.dim
     q = "FpGp-frob"
 
     verdict_search = None

@@ -19,6 +19,12 @@ fixed maps L and R, and its constraint rows are contracted directly from
 the nonzero entries of L and R (vec(PXQ) = (P (x) Q^T) vec(X) for the
 row-major vec), without evaluating any law on a trial value of X.
 
+Singularity of a square matrix is decided by `is_singular` without
+inverting it: column elimination mod p over F_p, and over Q fraction-free
+elimination on integers (Bareiss 1968: each step divides exactly by the
+previous pivot, so entries stay minors of the matrix and no Fraction is
+built).  Both stop at the first column without a pivot.
+
 Solvers return exact answers and verify them by substitution before
 returning; a failed substitution is an internal error, never a verdict.
 """

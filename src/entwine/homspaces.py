@@ -11,6 +11,17 @@ laws on it.  The two search primitives share one soundness story:
   on an integer grid large enough for polynomial identity testing, while
   bilinear witness searches fall back to a seeded random scan and report
   "unknown" rather than overclaim.
+
+Per point, both run on raw scalars.  `find_invertible_in_span` combines
+the candidate on integers (residues over F_p; over Q the basis and the
+point each scaled by a common denominator) and decides invertibility with
+`exactlin.is_singular`, without inverting; only the hit is built as a map
+and inverted.  A Frobenius search solves, at each candidate w, the laws
+pair(w, v) = target for the unknown v, where `pair` is bilinear:
+`BilinearSystem` tabulates pair on basis pairs once and combines each
+point's system from the table on integers.  Before a complete scan says
+"no", one scanned point's system is rebuilt by evaluating the laws
+directly, and a mismatch is an internal error.
 """
 
 from __future__ import annotations
@@ -501,11 +512,12 @@ class BilinearSystem:
         scanned point (the first with every coefficient nonzero, else the
         last) is rebuilt by `probed` and must equal the tabulated one."""
         f = self.field
-        scanned = []
+        check_at = None
 
         def attempt(coeffs):
-            if not scanned or not all(scanned[0]):
-                scanned[:] = [coeffs]
+            nonlocal check_at
+            if check_at is None or not all(check_at):
+                check_at = coeffs
             rows, rhs = self.tabulated(coeffs)
             part, _ = solve_linear(f, rows, rhs)
             if part is None:
@@ -513,8 +525,8 @@ class BilinearSystem:
             return self.candidate(coeffs), self.unknown(part)
 
         hit, complete, meta = search_candidates(f, len(self.cands), attempt, cfg)
-        if hit is None and complete and scanned:
-            if self.tabulated(scanned[0]) != self.probed(scanned[0]):
+        if hit is None and complete and check_at is not None:
+            if self.tabulated(check_at) != self.probed(check_at):
                 raise InternalCheckError(
                     "tabulated Frobenius system differs from direct evaluation")
         return hit, complete, meta

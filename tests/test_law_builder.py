@@ -159,10 +159,17 @@ def _w3_verdict(ops, vec):
     return bad
 
 
+# Every corpus twist map R has entries 0 and 1 only.  The W3 laws are
+# linear in e for any map R, so a doubled R, no longer a factorization,
+# checks that each R-coefficient enters the residual.
 FACTORIZATIONS = _corpus(corpus_factorizations) + [
-    pytest.param(smash.entwining_to_factorization(e, validate=False),
-                 id="%s-from-%s" % (tag, name))
-    for tag, field in FIELDS for name, e in corpus_entwinings(field)]
+    pytest.param(smash.entwining_to_factorization(e.values[0], validate=False),
+                 id="from-%s" % e.id)
+    for e in ENTWININGS] + [
+    pytest.param(smash.Factorization(fact.b, fact.a, fact.rmap.scale(field.of(2))),
+                 id="%s-%s-doubled-R" % (tag, name))
+    for tag, field in FIELDS if field.char != 2
+    for name, fact in corpus_factorizations(field)]
 
 
 @pytest.mark.parametrize("fact", FACTORIZATIONS)
