@@ -34,12 +34,13 @@ from .exactlin import (
 from .homspaces import (
     BilinearSystem,
     ConstraintSet,
+    FrobeniusProblem,
     SearchConfig,
     Verdict,
-    combine_in_span,
+    decide_frobenius,
+    decide_normalized,
     flat,
-    iso_exists,
-    solve_affine_in_span,
+    iso_frobenius,
 )
 from .structures import DualBasis
 
@@ -137,56 +138,25 @@ def Fprime_separable(e: Entwining) -> Verdict:
     f = e.field
     na, nc = e.a.dim, e.c.dim
     v1 = compute_V1prime(e)
-    idc = LinMap.identity(f, (nc,))
-    unit_leg = idc.tensor(LinMap.const(f, list(e.a.unit), (na,)))
-    target = e.c.counit_map()
-
-    def residual(coeffs):
-        vt = (combine_in_span(f, v1.basis, coeffs) if v1.basis
-              else LinMap.zero_map(f, (nc, na), (1,)))
-        got = vt.compose(unit_leg.with_shapes((nc,), (nc, na)))
-        return flat(got.with_shapes((nc,), (1,)).sub(
-            target.with_shapes((nc,), (1,))))
-
-    part, _ = solve_affine_in_span(f, v1.dim, residual)
-    meta = {"V1prime_dim": v1.dim, "definitive": True}
-    if part is None:
-        return Verdict("Fp-sep", "no",
-                       "counit normalization is infeasible over the vartheta space",
-                       meta=meta)
-    vt = (combine_in_span(f, v1.basis, part) if v1.basis
-          else LinMap.zero_map(f, (nc, na), (1,)))
-    if vartheta_residual(e, vt):
-        raise InternalCheckError("Fp-sep witness fails the vartheta law")
-    return Verdict("Fp-sep", "yes", "normalized vartheta found",
-                   witness={"vartheta": vt}, meta=meta)
+    unit_leg = LinMap.identity(f, (nc,)).tensor(
+        LinMap.const(f, list(e.a.unit), (na,))).with_shapes((nc,), (nc, na))
+    return decide_normalized(
+        f, "Fp-sep", v1, LinMap.zero_map(f, (nc, na), (1,)),
+        lambda vt: flat(vt.compose(unit_leg)), e.c.counit, "vartheta",
+        ("counit normalization is infeasible over the vartheta space",
+         "normalized vartheta found"), {"V1prime_dim": v1.dim})
 
 
 def Gprime_separable(e: Entwining) -> Verdict:
     """Is forgetting the action separable?  Needs e with m . e = unit . counit."""
-    f = e.field
     na, nc = e.a.dim, e.c.dim
     w1 = compute_W1prime(e)
     m = e.a.mult_map()
-    target = e.a.unit_map().compose(e.c.counit_map()).with_shapes((nc,), (na,))
-
-    def residual(coeffs):
-        em = (combine_in_span(f, w1.basis, coeffs) if w1.basis
-              else LinMap.zero_map(f, (nc,), (na, na)))
-        return flat(m.compose(em).with_shapes((nc,), (na,)).sub(target))
-
-    part, _ = solve_affine_in_span(f, w1.dim, residual)
-    meta = {"W1prime_dim": w1.dim, "definitive": True}
-    if part is None:
-        return Verdict("Gp-sep", "no",
-                       "multiplication normalization is infeasible over the e space",
-                       meta=meta)
-    em = (combine_in_span(f, w1.basis, part) if w1.basis
-          else LinMap.zero_map(f, (nc,), (na, na)))
-    if e_residual(e, em):
-        raise InternalCheckError("Gp-sep witness fails the e laws")
-    return Verdict("Gp-sep", "yes", "separating e-map found",
-                   witness={"e": em}, meta=meta)
+    return decide_normalized(
+        e.field, "Gp-sep", w1, LinMap.zero_map(e.field, (nc,), (na, na)),
+        lambda em: flat(m.compose(em)), flat(e.a.unit_map().compose(e.c.counit_map())),
+        "e", ("multiplication normalization is infeasible over the e space",
+              "separating e-map found"), {"W1prime_dim": w1.dim})
 
 
 # ---------------------------------------------------------------------------
@@ -284,53 +254,17 @@ def FprimeGprime_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
     route="iso" looks for an invertible bicomodule morphism
     C (x) A -> A* (x) C; route="auto" chains them.
     """
-    if route not in ("auto", "search", "iso"):
-        raise ValueError("route must be auto, search, or iso")
-    q = "FpGp-frob"
-
-    verdict_search = None
-    if route in ("auto", "search"):
-        system = frobenius_prime_system(e)
-        hit, complete, meta = system.search(cfg)
-        meta.update({"V1prime_dim": len(system.unknowns),
-                     "W1prime_dim": len(system.cands), "route": "search"})
-        if hit is not None:
-            em, vt = hit
-            bad = frobenius_prime_residual(e, vt, em)
-            if bad:
-                raise InternalCheckError("Frobenius search witness fails %r" % bad)
-            meta["definitive"] = True
-            return Verdict(q, "yes", "Frobenius pair found by candidate search",
-                           witness={"vartheta": vt, "e": em}, meta=meta)
-        if complete:
-            meta["definitive"] = True
-            return Verdict(q, "no",
-                           "candidate space scanned completely; no pair exists",
-                           meta=meta)
-        meta["definitive"] = False
-        verdict_search = Verdict(q, "unknown", "search budget exhausted", meta=meta)
-        if route == "search":
-            return verdict_search
-
-    x = std_object_CA(e, validate=False)
-    y = std_object_AstarC(e, validate=False)
-    iso = iso_exists(e, x, y, FROBENIUS_PRIME_CS, cfg)
-    meta = dict(iso.meta)
-    meta["route"] = "iso"
-    if iso.status == "yes":
-        vt = _extract_vartheta(e, iso.witness["iso"])
-        em = _extract_e(e, iso.witness["inverse"])
-        bad = frobenius_prime_residual(e, vt, em)
-        if bad:
-            raise InternalCheckError("iso-extracted Frobenius pair fails %r" % bad)
-        return Verdict(q, "yes",
-                       "Frobenius pair extracted from a bicomodule isomorphism",
-                       witness={"vartheta": vt, "e": em,
-                                "iso": iso.witness["iso"]}, meta=meta)
-    if iso.status == "no":
-        return Verdict(q, "no", "no invertible bicomodule morphism exists: " + iso.reason,
-                       meta=meta)
-    return verdict_search or Verdict(q, "unknown", iso.reason, meta=meta)
+    return decide_frobenius(FrobeniusProblem(
+        "FpGp-frob", "pair", system=lambda: frobenius_prime_system(e),
+        dims=("V1prime_dim", "W1prime_dim"),
+        witness=lambda em, vt: {"vartheta": vt, "e": em},
+        residual=lambda w: frobenius_prime_residual(e, w["vartheta"], w["e"]),
+        iso=lambda: iso_frobenius(
+            "FpGp-frob", e, std_object_CA(e, validate=False),
+            std_object_AstarC(e, validate=False), FROBENIUS_PRIME_CS, cfg, "bicomodule",
+            lambda iso, inv: {"vartheta": _extract_vartheta(e, iso),
+                              "e": _extract_e(e, inv)})),
+        cfg, route)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +359,7 @@ def dual_basis_A(e: Entwining, vt: LinMap, em: LinMap,
     """
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    phi, rep = invert_psi(e)
+    phi, _ = invert_psi(e)
     if phi is None:
         raise InternalCheckError("dual basis requires invertible psi")
     if c_vec is None:

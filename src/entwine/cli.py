@@ -27,19 +27,15 @@ are dense row-major matrices indexed by codomain then domain basis.
 Exit codes: 0 pass / yes, 1 mathematical no or failed validation, 2 input
 or usage error, 3 verdict unknown within the configured budget.  JSON
 reports carry no timing and are byte-identical for identical inputs,
-flags, and seeds; timing is printed in text mode only.  Setting
-ENTWINE_NO_PARALLEL=1 forces `corpus run` to execute serially; the report
-is identical either way.
+flags, and seeds; timing is printed in text mode only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .actforget import (
@@ -83,7 +79,7 @@ from .exactlin import (
     field_from_dict,
     kron_vec,
 )
-from .homspaces import SearchConfig, Verdict
+from .homspaces import SearchConfig, Verdict, flat
 from .ringext import (
     RingExtension,
     casimir_residual,
@@ -93,6 +89,8 @@ from .ringext import (
     frobenius_check,
     frobenius_residual as ext_frobenius_residual,
     quotient_mult,
+    separable_check,
+    split_check,
     tensor_over_R,
 )
 from .smash import (
@@ -127,8 +125,6 @@ QUESTIONS = ("F-sep", "G-sep", "FG-frob", "Fp-sep", "Gp-sep", "FpGp-frob",
              "ext-split", "ext-sep", "ext-frob",
              "smash-over-A", "smash-over-B", "cross-check")
 
-ENTWINING_QUESTIONS = ("F-sep", "G-sep", "FG-frob", "Fp-sep", "Gp-sep",
-                       "FpGp-frob", "cross-check")
 EXTENSION_QUESTIONS = ("ext-split", "ext-sep", "ext-frob")
 SMASH_QUESTIONS = ("smash-over-A", "smash-over-B")
 
@@ -478,13 +474,20 @@ def _emit_text(report, out, elapsed, indent=""):
 # ---------------------------------------------------------------------------
 # witness re-verification, independent of the solver path
 
-def _assert_zero(vals, name):
-    if any(vals):
-        raise InternalCheckError("re-verification failed: %s is nonzero" % name)
+def _checked(laws: str, bad, norm: str, got, want) -> dict:
+    """A separability witness re-checked: its laws hold (`bad` is empty) and
+    its normalization `got` equals `want`."""
+    if bad:
+        raise InternalCheckError("re-verification failed: %s: %r" % (laws, bad))
+    if any(x - y for x, y in zip(got, want)):
+        raise InternalCheckError("re-verification failed: %s is nonzero" % norm)
+    return {laws: "0", norm: "0"}
 
 
-def _flatmat(lm):
-    return [x for row in lm.mat for x in row]
+def _system_checked(bad) -> dict:
+    if bad:
+        raise InternalCheckError("Frobenius system fails %r on re-check" % bad)
+    return {"frobenius-system": "0"}
 
 
 def _reverify_entwining(question, e: Entwining, v: Verdict) -> dict:
@@ -492,48 +495,29 @@ def _reverify_entwining(question, e: Entwining, v: Verdict) -> dict:
         return {}
     f, na, nc = e.field, e.a.dim, e.c.dim
     w = v.witness
-    checks = {}
     if question == "F-sep":
-        if theta_residual(e, w["theta"]):
-            raise InternalCheckError("theta laws fail on re-check")
-        norm = w["theta"].compose(e.c.comult_map()).with_shapes((nc,), (na,)).sub(
-            e.a.unit_map().compose(e.c.counit_map()).with_shapes((nc,), (na,)))
-        _assert_zero(_flatmat(norm), "counit normalization")
-        checks = {"theta-laws": "0", "counit-normalization": "0"}
-    elif question == "G-sep":
-        if z_residual(e, w["z"]):
-            raise InternalCheckError("z laws fail on re-check")
-        got = LinMap.identity(f, (na,)).tensor(e.c.counit_map()) \
-            .with_shapes((na * nc,), (na,)).apply(w["z"])
-        _assert_zero([x - y for x, y in zip(got, e.a.unit)], "unit normalization")
-        checks = {"z-laws": "0", "unit-normalization": "0"}
-    elif question == "FG-frob":
-        bad = frobenius_residual(e, w["theta"], w["z"])
-        if bad:
-            raise InternalCheckError("Frobenius system fails %r on re-check" % bad)
-        checks = {"frobenius-system": "0"}
-    elif question == "Fp-sep":
-        if vartheta_residual(e, w["vartheta"]):
-            raise InternalCheckError("vartheta law fails on re-check")
-        unit_leg = LinMap.identity(f, (nc,)).tensor(
-            LinMap.const(f, list(e.a.unit), (na,)))
-        norm = w["vartheta"].compose(unit_leg.with_shapes((nc,), (nc, na))) \
-            .with_shapes((nc,), (1,)).sub(e.c.counit_map().with_shapes((nc,), (1,)))
-        _assert_zero(_flatmat(norm), "counit normalization")
-        checks = {"vartheta-laws": "0", "counit-normalization": "0"}
-    elif question == "Gp-sep":
-        if e_residual(e, w["e"]):
-            raise InternalCheckError("e laws fail on re-check")
-        norm = e.a.mult_map().compose(w["e"]).with_shapes((nc,), (na,)).sub(
-            e.a.unit_map().compose(e.c.counit_map()).with_shapes((nc,), (na,)))
-        _assert_zero(_flatmat(norm), "mult normalization")
-        checks = {"e-laws": "0", "mult-normalization": "0"}
-    elif question == "FpGp-frob":
-        bad = frobenius_prime_residual(e, w["vartheta"], w["e"])
-        if bad:
-            raise InternalCheckError("Frobenius system fails %r on re-check" % bad)
-        checks = {"frobenius-system": "0"}
-    return checks
+        return _checked("theta-laws", theta_residual(e, w["theta"]), "counit-normalization",
+                        flat(w["theta"].compose(e.c.comult_map())),
+                        flat(e.a.unit_map().compose(e.c.counit_map())))
+    if question == "G-sep":
+        counit_leg = LinMap.identity(f, (na,)).tensor(e.c.counit_map())
+        return _checked("z-laws", z_residual(e, w["z"]), "unit-normalization",
+                        counit_leg.with_shapes((na * nc,), (na,)).apply(w["z"]), e.a.unit)
+    if question == "Fp-sep":
+        unit_leg = LinMap.identity(f, (nc,)).tensor(LinMap.const(f, list(e.a.unit), (na,)))
+        return _checked("vartheta-laws", vartheta_residual(e, w["vartheta"]),
+                        "counit-normalization",
+                        flat(w["vartheta"].compose(unit_leg.with_shapes((nc,), (nc, na)))),
+                        e.c.counit)
+    if question == "Gp-sep":
+        return _checked("e-laws", e_residual(e, w["e"]), "mult-normalization",
+                        flat(e.a.mult_map().compose(w["e"])),
+                        flat(e.a.unit_map().compose(e.c.counit_map())))
+    if question == "FG-frob":
+        return _system_checked(frobenius_residual(e, w["theta"], w["z"]))
+    if question == "FpGp-frob":
+        return _system_checked(frobenius_prime_residual(e, w["vartheta"], w["e"]))
+    return {}
 
 
 def _reverify_extension(question, ext: RingExtension, v: Verdict) -> dict:
@@ -541,23 +525,14 @@ def _reverify_extension(question, ext: RingExtension, v: Verdict) -> dict:
         return {}
     w = v.witness
     if question == "ext-split":
-        if expectation_residual(ext, w["nu"]):
-            raise InternalCheckError("expectation laws fail on re-check")
-        got = w["nu"].apply(ext.s.unit)
-        _assert_zero([x - y for x, y in zip(got, ext.r.unit)], "unit normalization")
-        return {"expectation-laws": "0", "unit-normalization": "0"}
+        return _checked("expectation-laws", expectation_residual(ext, w["nu"]),
+                        "unit-normalization", w["nu"].apply(ext.s.unit), ext.r.unit)
     t = tensor_over_R(ext)
     if question == "ext-sep":
-        if casimir_residual(t, w["e"]):
-            raise InternalCheckError("Casimir laws fail on re-check")
-        got = quotient_mult(t).apply(w["e"])
-        _assert_zero([x - y for x, y in zip(got, ext.s.unit)], "mult normalization")
-        return {"casimir-laws": "0", "mult-normalization": "0"}
+        return _checked("casimir-laws", casimir_residual(t, w["e"]), "mult-normalization",
+                        quotient_mult(t).apply(w["e"]), ext.s.unit)
     if question == "ext-frob":
-        bad = ext_frobenius_residual(ext, t, w["nu"], w["e"])
-        if bad:
-            raise InternalCheckError("Frobenius system fails %r on re-check" % bad)
-        return {"frobenius-system": "0"}
+        return _system_checked(ext_frobenius_residual(ext, t, w["nu"], w["e"]))
     return {}
 
 
@@ -565,26 +540,16 @@ def _reverify_smash(fact: Factorization, name, v: Verdict) -> dict:
     if v.status != "yes":
         return {}
     w = v.witness
-    f = fact.field
+    nb, na = fact.b.dim, fact.a.dim
     if name == "split":
-        if kappa_residual(fact, w["kappa"]):
-            raise InternalCheckError("kappa laws fail on re-check")
-        got = w["kappa"].apply(fact.b.unit)
-        _assert_zero([x - y for x, y in zip(got, fact.a.unit)], "unit normalization")
-        return {"kappa-laws": "0", "unit-normalization": "0"}
+        return _checked("kappa-laws", kappa_residual(fact, w["kappa"]), "unit-normalization",
+                        w["kappa"].apply(fact.b.unit), fact.a.unit)
     if name == "separable":
-        if w3_residual(fact, w["e"]):
-            raise InternalCheckError("W3 laws fail on re-check")
-        nb, na = fact.b.dim, fact.a.dim
-        mb = fact.b.mult_map().tensor(LinMap.identity(f, (na,)))
-        got = mb.with_shapes((nb, nb, na), (nb, na)).apply(w["e"])
-        target = kron_vec(fact.b.unit, fact.a.unit)
-        _assert_zero([x - y for x, y in zip(got, target)], "mult normalization")
-        return {"casimir-laws": "0", "mult-normalization": "0"}
-    bad = frobenius_smash_residual(fact, w["kappa"], w["e"])
-    if bad:
-        raise InternalCheckError("Frobenius system fails %r on re-check" % bad)
-    return {"frobenius-system": "0"}
+        mb = fact.b.mult_map().tensor(LinMap.identity(fact.field, (na,)))
+        return _checked("casimir-laws", w3_residual(fact, w["e"]), "mult-normalization",
+                        mb.with_shapes((nb, nb, na), (nb, na)).apply(w["e"]),
+                        kron_vec(fact.b.unit, fact.a.unit))
+    return _system_checked(frobenius_smash_residual(fact, w["kappa"], w["e"]))
 
 
 # ---------------------------------------------------------------------------
@@ -620,30 +585,28 @@ def _exit_for(statuses) -> int:
     return EXIT_PASS
 
 
+# the single-verdict questions; the Frobenius deciders also take the search
+# configuration
+DECIDERS = {"F-sep": F_separable, "G-sep": G_separable, "FG-frob": FG_frobenius,
+            "Fp-sep": Fprime_separable, "Gp-sep": Gprime_separable,
+            "FpGp-frob": FprimeGprime_frobenius, "ext-split": split_check,
+            "ext-sep": separable_check, "ext-frob": frobenius_check}
+FROBENIUS_QUESTIONS = ("FG-frob", "FpGp-frob", "ext-frob")
+
+
 def run_analysis(kind, payload, question, cfg, field, args):
     """Dispatch one question; returns (report dict, exit code)."""
-    if question in ("F-sep", "G-sep", "Fp-sep", "Gp-sep"):
-        e = _as_entwining(kind, payload)
-        fn = {"F-sep": F_separable, "G-sep": G_separable,
-              "Fp-sep": Fprime_separable, "Gp-sep": Gprime_separable}[question]
-        v = fn(e)
-        return (verdict_report(v, field, args, _reverify_entwining(question, e, v)),
-                _STATUS_EXIT[v.status])
-    if question in ("FG-frob", "FpGp-frob"):
-        e = _as_entwining(kind, payload)
-        fn = FG_frobenius if question == "FG-frob" else FprimeGprime_frobenius
-        v = fn(e, cfg)
-        return (verdict_report(v, field, args, _reverify_entwining(question, e, v)),
-                _STATUS_EXIT[v.status])
-    if question in EXTENSION_QUESTIONS:
-        if kind != "ring_extension":
+    if question in DECIDERS:
+        if question not in EXTENSION_QUESTIONS:
+            subject, reverify = _as_entwining(kind, payload), _reverify_entwining
+        elif kind == "ring_extension":
+            subject, reverify = payload, _reverify_extension
+        else:
             raise ParseError("usage error: question %s needs a ring_extension "
                              "payload, not %s" % (question, kind))
-        from .ringext import separable_check, split_check
-        fn = {"ext-split": split_check, "ext-sep": separable_check}.get(question)
-        v = fn(payload) if fn else frobenius_check(payload, cfg)
-        return (verdict_report(v, field, args,
-                               _reverify_extension(question, payload, v)),
+        decide = DECIDERS[question]
+        v = decide(subject, cfg) if question in FROBENIUS_QUESTIONS else decide(subject)
+        return (verdict_report(v, field, args, reverify(question, subject, v)),
                 _STATUS_EXIT[v.status])
     if question in SMASH_QUESTIONS:
         fact = _as_factorization(kind, payload)
@@ -815,20 +778,18 @@ def mutate_payload(payload):
     raise ParseError("cannot mutate payload of type %s" % type(payload).__name__)
 
 
+def _routes_agree(decide, payload, cfg: SearchConfig):
+    """A check that a Frobenius decider gives one verdict on both routes."""
+    return lambda: (decide(payload, cfg, route="search").status
+                    == decide(payload, cfg, route="iso").status)
+
+
 def _corpus_checks(entry: CorpusEntry, cfg: SearchConfig):
     """(check name, thunk) pairs for one entry; every thunk returns a bool."""
     payload = entry.payload
     checks = [("valid", lambda: validate_payload(payload).ok)]
     if isinstance(payload, Entwining):
         e = payload
-
-        def routes_fg():
-            return (FG_frobenius(e, cfg, route="search").status
-                    == FG_frobenius(e, cfg, route="iso").status)
-
-        def routes_fpgp():
-            return (FprimeGprime_frobenius(e, cfg, route="search").status
-                    == FprimeGprime_frobenius(e, cfg, route="iso").status)
 
         def dict_round_trip():
             fact = entwining_to_factorization(e, validate=False)
@@ -844,19 +805,13 @@ def _corpus_checks(entry: CorpusEntry, cfg: SearchConfig):
                     std_object_AstarC(e, validate=False)]
             return all(adjunction_check(e, m).ok for m in objs)
 
-        checks += [("fg-frob-routes", routes_fg),
-                   ("fpgp-frob-routes", routes_fpgp),
+        checks += [("fg-frob-routes", _routes_agree(FG_frobenius, e, cfg)),
+                   ("fpgp-frob-routes", _routes_agree(FprimeGprime_frobenius, e, cfg)),
                    ("dict-round-trip", dict_round_trip),
                    ("cross-check", cross),
                    ("adjunction", adjunction)]
     elif isinstance(payload, RingExtension):
-        ext = payload
-
-        def routes_ext():
-            return (frobenius_check(ext, cfg, route="search").status
-                    == frobenius_check(ext, cfg, route="iso").status)
-
-        checks.append(("ext-frob-routes", routes_ext))
+        checks.append(("ext-frob-routes", _routes_agree(frobenius_check, payload, cfg)))
     elif isinstance(payload, Factorization):
         fact = payload
 
@@ -870,13 +825,9 @@ def _corpus_checks(entry: CorpusEntry, cfg: SearchConfig):
             return (compute_V3(fact).dim == compute_expectations(ext).dim
                     and compute_W3(fact).dim == compute_casimir(t).dim)
 
-        def smash_routes():
-            return (smash_frobenius_A(fact, cfg, route="search").status
-                    == smash_frobenius_A(fact, cfg, route="iso").status)
-
         checks += [("smash-valid", smash_valid),
                    ("gamma-dims", gamma_dims),
-                   ("smash-frob-routes", smash_routes)]
+                   ("smash-frob-routes", _routes_agree(smash_frobenius_A, fact, cfg))]
     return checks
 
 
@@ -905,11 +856,7 @@ def cmd_corpus_run(args) -> int:
                                     mutate_payload(entry.payload), entry.note)
             for check_name, thunk in _corpus_checks(entry, cfg):
                 tasks.append((entry.name, field_tag, check_name, thunk))
-    if os.environ.get("ENTWINE_NO_PARALLEL") == "1":
-        results = [_run_one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(_run_one, tasks))
+    results = [_run_one(t) for t in tasks]
     failed = [r for r in results if not r["pass"]]
     report = {"command": "corpus run", "checks": len(results),
               "failed": len(failed), "ok": not failed, "results": results,

@@ -17,7 +17,7 @@ bimodule category, from which a pair is extracted ("iso" route).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .entwining import (
     Entwining,
@@ -25,25 +25,23 @@ from .entwining import (
     std_object_CstarA,
 )
 from .exactlin import (
-    InternalCheckError,
     LinearLaws,
     LinMap,
     SolutionSpace,
     Term,
     basis_vec,
     kron_vec,
-    swap_map,
 )
 from .homspaces import (
     BilinearSystem,
     ConstraintSet,
+    FrobeniusProblem,
     SearchConfig,
     Verdict,
-    combine_in_span,
-    combine_vec,
+    decide_frobenius,
+    decide_normalized,
     flat,
-    iso_exists,
-    solve_affine_in_span,
+    iso_frobenius,
 )
 from .structures import DualBasis
 
@@ -98,9 +96,8 @@ def compute_V1(e: Entwining) -> SolutionSpace:
 
 def z_residual(e: Entwining, z: Sequence) -> list[str]:
     f = e.field
-    na, nc = e.a.dim, e.c.dim
+    na = e.a.dim
     act = std_object_AC(e, validate=False).act
-    idc = LinMap.identity(f, (nc,))
     bad = []
     for beta in range(na):
         left = _apply_lmult(e, beta, z)
@@ -147,31 +144,14 @@ def F_separable(e: Entwining) -> Verdict:
     Equivalent to a theta in V1 with theta . Delta = unit . counit; decided
     by one exact linear solve, so the answer is always definitive.
     """
-    f = e.field
     na, nc = e.a.dim, e.c.dim
     v1 = compute_V1(e)
-    target = e.a.unit_map().compose(e.c.counit_map()).with_shapes((nc,), (na,))
-
-    def residual(coeffs):
-        if v1.basis:
-            th = combine_in_span(f, v1.basis, coeffs)
-        else:
-            th = LinMap.zero_map(f, (nc, nc), (na,))
-        diff = th.compose(e.c.comult_map()).with_shapes((nc,), (na,)).sub(target)
-        return flat(diff)
-
-    part, _ = solve_affine_in_span(f, v1.dim, residual)
-    meta = {"V1_dim": v1.dim, "definitive": True}
-    if part is None:
-        return Verdict("F-sep", "no",
-                       "counit normalization is infeasible over the theta space",
-                       meta=meta)
-    theta = combine_in_span(f, v1.basis, part) if v1.basis else \
-        LinMap.zero_map(f, (nc, nc), (na,))
-    if theta_residual(e, theta):
-        raise InternalCheckError("F-sep witness fails the theta laws")
-    return Verdict("F-sep", "yes", "normalized theta found",
-                   witness={"theta": theta}, meta=meta)
+    return decide_normalized(
+        e.field, "F-sep", v1, LinMap.zero_map(e.field, (nc, nc), (na,)),
+        lambda th: flat(th.compose(e.c.comult_map()).with_shapes((nc,), (na,))),
+        flat(e.a.unit_map().compose(e.c.counit_map())), "theta",
+        ("counit normalization is infeasible over the theta space",
+         "normalized theta found"), {"V1_dim": v1.dim})
 
 
 def G_separable(e: Entwining) -> Verdict:
@@ -179,25 +159,12 @@ def G_separable(e: Entwining) -> Verdict:
     f = e.field
     na, nc = e.a.dim, e.c.dim
     w1 = compute_W1(e)
-    counit_leg = LinMap.identity(f, (na,)).tensor(e.c.counit_map())
-    target = list(e.a.unit)
-
-    def residual(coeffs):
-        z = combine_vec(f, w1.basis, coeffs, na * nc)
-        val = counit_leg.with_shapes((na * nc,), (na,)).apply(z)
-        return [x - t for x, t in zip(val, target)]
-
-    part, _ = solve_affine_in_span(f, w1.dim, residual)
-    meta = {"W1_dim": w1.dim, "definitive": True}
-    if part is None:
-        return Verdict("G-sep", "no",
-                       "unit normalization is infeasible over the z space",
-                       meta=meta)
-    z = combine_vec(f, w1.basis, part, na * nc)
-    if z_residual(e, z):
-        raise InternalCheckError("G-sep witness is not centralized")
-    return Verdict("G-sep", "yes", "normalized integral found",
-                   witness={"z": tuple(z)}, meta=meta)
+    counit_leg = LinMap.identity(f, (na,)).tensor(e.c.counit_map()).with_shapes(
+        (na * nc,), (na,))
+    return decide_normalized(
+        f, "G-sep", w1, (f.zero,) * (na * nc), counit_leg.apply, e.a.unit, "z",
+        ("unit normalization is infeasible over the z space",
+         "normalized integral found"), {"W1_dim": w1.dim})
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +222,6 @@ def _extract_theta(e: Entwining, iso: LinMap) -> LinMap:
 
 def _extract_z(e: Entwining, iso_inv: LinMap):
     """z = iso^{-1}(counit (x) 1)."""
-    f = e.field
     eps = list(e.c.counit)
     return tuple(iso_inv.with_shapes((e.c.dim * e.a.dim,),
                                      (e.a.dim * e.c.dim,)).apply(
@@ -284,52 +250,15 @@ def FG_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
     A (x) C -> C* (x) A and extract the pair from it.  route="auto" runs the
     search first and falls back to the isomorphism test for definitiveness.
     """
-    if route not in ("auto", "search", "iso"):
-        raise ValueError("route must be auto, search, or iso")
-    q = "FG-frob"
-
-    verdict_search = None
-    if route in ("auto", "search"):
-        system = frobenius_system(e)
-        hit, complete, meta = system.search(cfg)
-        meta.update({"V1_dim": len(system.unknowns), "W1_dim": len(system.cands),
-                     "route": "search"})
-        if hit is not None:
-            z, theta = hit
-            bad = frobenius_residual(e, theta, z)
-            if bad:
-                raise InternalCheckError("Frobenius search witness fails %r" % bad)
-            meta["definitive"] = True
-            return Verdict(q, "yes", "Frobenius pair found by candidate search",
-                           witness={"theta": theta, "z": tuple(z)}, meta=meta)
-        if complete:
-            meta["definitive"] = True
-            return Verdict(q, "no",
-                           "candidate space scanned completely; no pair exists",
-                           meta=meta)
-        meta["definitive"] = False
-        verdict_search = Verdict(q, "unknown", "search budget exhausted", meta=meta)
-        if route == "search":
-            return verdict_search
-
-    x = std_object_AC(e, validate=False)
-    y = std_object_CstarA(e, validate=False)
-    iso = iso_exists(e, x, y, FROBENIUS_CS, cfg)
-    meta = dict(iso.meta)
-    meta["route"] = "iso"
-    if iso.status == "yes":
-        theta = _extract_theta(e, iso.witness["iso"])
-        z = _extract_z(e, iso.witness["inverse"])
-        bad = frobenius_residual(e, theta, z)
-        if bad:
-            raise InternalCheckError("iso-extracted Frobenius pair fails %r" % bad)
-        return Verdict(q, "yes", "Frobenius pair extracted from a bimodule isomorphism",
-                       witness={"theta": theta, "z": z,
-                                "iso": iso.witness["iso"]}, meta=meta)
-    if iso.status == "no":
-        return Verdict(q, "no", "no invertible bimodule morphism exists: " + iso.reason,
-                       meta=meta)
-    return verdict_search or Verdict(q, "unknown", iso.reason, meta=meta)
+    return decide_frobenius(FrobeniusProblem(
+        "FG-frob", "pair", system=lambda: frobenius_system(e), dims=("V1_dim", "W1_dim"),
+        witness=lambda z, theta: {"theta": theta, "z": z},
+        residual=lambda w: frobenius_residual(e, w["theta"], w["z"]),
+        iso=lambda: iso_frobenius(
+            "FG-frob", e, std_object_AC(e, validate=False),
+            std_object_CstarA(e, validate=False), FROBENIUS_CS, cfg, "bimodule",
+            lambda iso, inv: {"theta": _extract_theta(e, iso), "z": _extract_z(e, inv)})),
+        cfg, route)
 
 
 # ---------------------------------------------------------------------------

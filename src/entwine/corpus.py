@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
-from .exactlin import Field, InternalCheckError, LinMap, ParseError, basis_vec, iter_multi
+from .exactlin import Field, InternalCheckError, LinMap, ParseError, iter_multi
 from .structures import (
     ActionData,
     AlgebraData,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlin import Field, LinMap, ParseError, iter_multi, prod
+from .exactlin import Field, LinMap, ParseError, iter_multi
 from .structures import (
     ActionData,
     AlgebraData,

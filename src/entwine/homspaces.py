@@ -22,6 +22,13 @@ pair(w, v) = target for the unknown v, where `pair` is bilinear:
 point's system from the table on integers.  Before a complete scan says
 "no", one scanned point's system is rebuilt by evaluating the laws
 directly, and a mismatch is an internal error.
+
+Every decider asks its question through one of two pipelines.
+`decide_normalized` settles a separability or splitting question with one
+exact solve for a normalized element of a solution space.
+`decide_frobenius` settles a Frobenius question from a `FrobeniusProblem`:
+the bilinear search, the isomorphism route as its fallback, and a re-check
+of every witness it returns.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .exactlin import (
     LinearLaws,
     LinMap,
     ParseError,
+    SolutionSpace,
     Term,
     is_singular,
     solve_linear,
@@ -277,6 +285,16 @@ def combine_vec(field: Field, basis: Sequence[Sequence], coeffs: Sequence,
     return out
 
 
+def combine(field: Field, basis: Sequence, coeffs: Sequence, zero=None):
+    """sum coeffs_i basis_i: a map for a basis of maps, a tuple for a basis
+    of flat vectors, and `zero` for an empty basis."""
+    if not basis:
+        return zero
+    if isinstance(basis[0], LinMap):
+        return combine_in_span(field, basis, coeffs)
+    return tuple(combine_vec(field, basis, coeffs, len(basis[0])))
+
+
 def flat(lm: LinMap) -> list:
     """The entries of a map, row by row."""
     return [v for row in lm.mat for v in row]
@@ -436,14 +454,35 @@ def solve_affine_in_span(field: Field, dim: int,
     return solve_linear(field, rows, rhs)
 
 
+def decide_normalized(field: Field, question: str, space: SolutionSpace, zero,
+                      normalize: Callable[[object], Sequence], target: Sequence,
+                      key: str, reasons: tuple[str, str], meta: dict) -> Verdict:
+    """Is there x in span(space.basis) with normalize(x) = target?
+
+    This is how every separability and splitting question is asked: the
+    functor (or extension) is separable exactly when its solution space
+    holds a normalized element.  `normalize` is linear and returns flat
+    field values, so one exact solve decides it and the answer is always
+    definitive.  `zero` is the zero element (a map, or a tuple for vector
+    spaces), standing in for an empty basis.  A found x is re-checked
+    against the laws of its space and is the witness under `key`;
+    `reasons` are the reasons of "no" and of "yes".
+    """
+    target = list(target)
+    part, _ = solve_affine_in_span(field, space.dim, lambda c: [
+        x - t for x, t in zip(normalize(combine(field, space.basis, c, zero)), target)])
+    meta = dict(meta, definitive=True)
+    if part is None:
+        return Verdict(question, "no", reasons[0], meta=meta)
+    x = combine(field, space.basis, part, zero)
+    bad = space.residual(x)
+    if bad:
+        raise InternalCheckError("%s witness fails %r" % (question, bad))
+    return Verdict(question, "yes", reasons[1], witness={key: x}, meta=meta)
+
+
 # ---------------------------------------------------------------------------
 # bilinear witness search
-
-def _combine(field: Field, basis: Sequence, coeffs: Sequence):
-    if isinstance(basis[0], LinMap):
-        return combine_in_span(field, basis, coeffs)
-    return combine_vec(field, basis, coeffs, len(basis[0]))
-
 
 class BilinearSystem:
     """The laws pair(w, v) = target in a candidate w in span(cands) and an
@@ -467,10 +506,10 @@ class BilinearSystem:
         self._table: dict = {}  # i -> (ints of pair(W_i, V_j) for all j, j-major; d)
 
     def candidate(self, coeffs: Sequence):
-        return _combine(self.field, self.cands, coeffs)
+        return combine(self.field, self.cands, coeffs)
 
     def unknown(self, coeffs: Sequence):
-        return _combine(self.field, self.unknowns, coeffs) if self.unknowns else self.zero
+        return combine(self.field, self.unknowns, coeffs, self.zero)
 
     def _row(self, i: int):
         row = self._table.get(i)
@@ -530,3 +569,100 @@ class BilinearSystem:
                 raise InternalCheckError(
                     "tabulated Frobenius system differs from direct evaluation")
         return hit, complete, meta
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius driver
+
+ROUTES = ("auto", "search", "iso")
+
+
+@dataclass(frozen=True)
+class FrobeniusProblem:
+    """One Frobenius question, in the terms `decide_frobenius` asks it.
+
+    `system` builds the normalization laws of a witness (a pair or a
+    system, `noun`) as a `BilinearSystem`; `dims` names the meta keys of
+    the dimensions of its unknowns' and its candidates' spaces, and `extra`
+    is more meta of the search route.  `witness` names the parts of a
+    solution (candidate, unknown), and `residual` lists the conditions a
+    named witness violates.  `iso` decides the question through an
+    isomorphism of standard objects and returns that route's verdict, its
+    witness named the same way.
+    """
+
+    question: str
+    noun: str
+    system: Callable[[], BilinearSystem]
+    dims: tuple[str, str]
+    witness: Callable[[object, object], dict]
+    residual: Callable[[dict], list]
+    iso: Callable[[], Verdict]
+    extra: dict = dc_field(default_factory=dict)
+
+
+def decide_frobenius(problem: FrobeniusProblem, cfg: SearchConfig,
+                     route: str) -> Verdict:
+    """route="search": scan candidates with the bilinear system, solving
+    linearly for the unknown; a complete scan without a solution is a "no".
+    route="iso": the problem's isomorphism route.  route="auto" searches
+    first and falls back to the isomorphism route, keeping the search's
+    "unknown" when that route is undecided too.  Every witness is re-checked
+    with the problem's residual; a failure is an internal error.
+    """
+    if route not in ROUTES:
+        raise ValueError("route must be auto, search, or iso")
+    q, noun = problem.question, problem.noun
+    fallback = None
+    if route != "iso":
+        system = problem.system()
+        hit, complete, meta = system.search(cfg)
+        meta.update({problem.dims[0]: len(system.unknowns),
+                     problem.dims[1]: len(system.cands)})
+        meta.update(problem.extra)
+        meta["route"] = "search"
+        meta["definitive"] = hit is not None or complete
+        if hit is not None:
+            witness = problem.witness(*hit)
+            _recheck(problem, witness, "search")
+            return Verdict(q, "yes", "Frobenius %s found by candidate search" % noun,
+                           witness=witness, meta=meta)
+        if complete:
+            return Verdict(q, "no",
+                           "candidate space scanned completely; no %s exists" % noun,
+                           meta=meta)
+        fallback = Verdict(q, "unknown", "search budget exhausted", meta=meta)
+        if route == "search":
+            return fallback
+    v = problem.iso()
+    if v.status == "yes":
+        _recheck(problem, v.witness, "iso")
+    return fallback if v.status == "unknown" and fallback is not None else v
+
+
+def _recheck(problem: FrobeniusProblem, witness: dict, route: str):
+    bad = problem.residual(witness)
+    if bad:
+        raise InternalCheckError("Frobenius %s from the %s route fails %r"
+                                 % (problem.noun, route, bad))
+
+
+def iso_frobenius(question: str, e: Entwining, x: EntwinedObject, y: EntwinedObject,
+                  cs: ConstraintSet, cfg: SearchConfig, kind: str,
+                  extract: Callable[[LinMap, LinMap], dict]) -> Verdict:
+    """The isomorphism route of an entwined-module Frobenius question: an
+    invertible morphism X -> Y of `kind` ("bimodule" or "bicomodule")
+    morphisms, with the pair `extract(iso, inverse)` read off it."""
+    iso = iso_exists(e, x, y, cs, cfg)
+    meta = dict(iso.meta)
+    meta["route"] = "iso"
+    if iso.status == "yes":
+        witness = extract(iso.witness["iso"], iso.witness["inverse"])
+        witness["iso"] = iso.witness["iso"]
+        return Verdict(question, "yes",
+                       "Frobenius pair extracted from a %s isomorphism" % kind,
+                       witness=witness, meta=meta)
+    if iso.status == "no":
+        return Verdict(question, "no", "no invertible %s morphism exists: %s"
+                       % (kind, iso.reason), meta=meta)
+    return Verdict(question, "unknown", iso.reason, meta=meta)

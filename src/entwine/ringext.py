@@ -34,12 +34,12 @@ from .exactlin import (
 )
 from .homspaces import (
     BilinearSystem,
+    FrobeniusProblem,
     SearchConfig,
     Verdict,
-    combine_in_span,
-    combine_vec,
+    decide_frobenius,
+    decide_normalized,
     find_invertible_in_span,
-    solve_affine_in_span,
 )
 from .structures import (
     AlgebraData,
@@ -243,50 +243,23 @@ def _r_linear_laws(ext: RingExtension, left: bool) -> LinearLaws:
 
 def split_check(ext: RingExtension) -> Verdict:
     """Does the extension split: nu in V1 with nu(1_S) = 1_R?"""
-    f = ext.field
     v1 = compute_expectations(ext)
-    one_s = list(ext.s.unit)
-    one_r = list(ext.r.unit)
-
-    def residual(coeffs):
-        nu = (combine_in_span(f, v1.basis, coeffs) if v1.basis
-              else LinMap.zero_map(f, (ext.s.dim,), (ext.r.dim,)))
-        return [x - t for x, t in zip(nu.apply(one_s), one_r)]
-
-    part, _ = solve_affine_in_span(f, v1.dim, residual)
-    meta = {"V1_dim": v1.dim, "definitive": True}
-    if part is None:
-        return Verdict("ext-split", "no",
-                       "no conditional expectation fixes the unit", meta=meta)
-    nu = combine_in_span(f, v1.basis, part)
-    if expectation_residual(ext, nu):
-        raise InternalCheckError("split witness is not an expectation")
-    return Verdict("ext-split", "yes", "unit-fixing conditional expectation found",
-                   witness={"nu": nu}, meta=meta)
+    return decide_normalized(
+        ext.field, "ext-split", v1, LinMap.zero_map(ext.field, (ext.s.dim,), (ext.r.dim,)),
+        lambda nu: nu.apply(ext.s.unit), ext.r.unit, "nu",
+        ("no conditional expectation fixes the unit",
+         "unit-fixing conditional expectation found"), {"V1_dim": v1.dim})
 
 
 def separable_check(ext: RingExtension) -> Verdict:
     """Is the extension separable: Casimir e with mu(e) = 1_S?"""
-    f = ext.field
     t = tensor_over_R(ext)
     w1 = compute_casimir(t)
-    mu = quotient_mult(t)
-    target = list(ext.s.unit)
-
-    def residual(coeffs):
-        e = combine_vec(f, w1.basis, coeffs, t.dim)
-        return [x - y for x, y in zip(mu.apply(e), target)]
-
-    part, _ = solve_affine_in_span(f, w1.dim, residual)
-    meta = {"W1_dim": w1.dim, "tensor_dim": t.dim, "definitive": True}
-    if part is None:
-        return Verdict("ext-sep", "no",
-                       "no Casimir element multiplies to the unit", meta=meta)
-    e = tuple(combine_vec(f, w1.basis, part, t.dim))
-    if casimir_residual(t, e):
-        raise InternalCheckError("separability witness is not Casimir")
-    return Verdict("ext-sep", "yes", "separability element found",
-                   witness={"e": e}, meta=meta)
+    return decide_normalized(
+        ext.field, "ext-sep", w1, (ext.field.zero,) * t.dim, quotient_mult(t).apply,
+        ext.s.unit, "e", ("no Casimir element multiplies to the unit",
+                          "separability element found"),
+        {"W1_dim": w1.dim, "tensor_dim": t.dim})
 
 
 def _frobenius_norms(ext: RingExtension, nu: LinMap, lift) -> tuple[list, list]:
@@ -506,37 +479,19 @@ def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
     route="iso" checks finite projectivity and looks for an invertible
     morphism onto the twisted right dual; route="auto" chains them.
     """
-    if route not in ("auto", "search", "iso"):
-        raise ValueError("route must be auto, search, or iso")
-    f = ext.field
-    ns = ext.s.dim
-    q = "ext-frob"
     t = tensor_over_R(ext)
+    return decide_frobenius(FrobeniusProblem(
+        "ext-frob", "system", system=lambda: frobenius_system(ext, t),
+        dims=("V1_dim", "W1_dim"), extra={"tensor_dim": t.dim},
+        witness=lambda evec, nu: {"nu": nu, "e": evec},
+        residual=lambda w: frobenius_residual(ext, t, w["nu"], w["e"]),
+        iso=lambda: _iso_route(ext, t, cfg)), cfg, route)
 
-    verdict_search = None
-    if route in ("auto", "search"):
-        system = frobenius_system(ext, t)
-        hit, complete, meta = system.search(cfg)
-        meta.update({"V1_dim": len(system.unknowns), "W1_dim": len(system.cands),
-                     "tensor_dim": t.dim, "route": "search"})
-        if hit is not None:
-            evec, nu = hit
-            bad = frobenius_residual(ext, t, nu, evec)
-            if bad:
-                raise InternalCheckError("Frobenius search witness fails %r" % bad)
-            meta["definitive"] = True
-            return Verdict(q, "yes", "Frobenius system found by candidate search",
-                           witness={"nu": nu, "e": tuple(evec)}, meta=meta)
-        if complete:
-            meta["definitive"] = True
-            return Verdict(q, "no",
-                           "candidate space scanned completely; no system exists",
-                           meta=meta)
-        meta["definitive"] = False
-        verdict_search = Verdict(q, "unknown", "search budget exhausted", meta=meta)
-        if route == "search":
-            return verdict_search
 
+def _iso_route(ext: RingExtension, t: TensorOverR, cfg: SearchConfig) -> Verdict:
+    """S finitely generated projective over R and isomorphic to its twisted
+    right dual, with the system read off the isomorphism."""
+    q = "ext-frob"
     dspace = right_dual_space(ext)
     meta = {"route": "iso", "dual_dim": len(dspace), "definitive": True}
     sigmas = fg_projective_coords(ext, dspace)
@@ -544,7 +499,7 @@ def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
         return Verdict(q, "no",
                        "the total algebra is not finitely generated projective "
                        "over the base", meta=meta)
-    if len(dspace) != ns:
+    if len(dspace) != ext.s.dim:
         return Verdict(q, "no",
                        "the right dual has a different dimension", meta=meta)
 
@@ -554,7 +509,7 @@ def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
         return Verdict(q, "no", "no nonzero morphism onto the twisted dual exists",
                        meta=meta)
 
-    status, phi, phi_inv, search_meta = find_invertible_in_span(f, basis, cfg)
+    status, phi, phi_inv, search_meta = find_invertible_in_span(ext.field, basis, cfg)
     meta.update(search_meta)
     if status == "no":
         return Verdict(q, "no",
@@ -562,17 +517,12 @@ def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
                        meta=meta)
     if status != "yes":
         meta["definitive"] = False
-        return verdict_search or Verdict(q, "unknown",
-                                         "invertibility search was inconclusive",
-                                         meta=meta)
-    nu = phibar_to_nu(ext, dspace, phi)
-    evec = phi_to_e(ext, t, sigmas, phi_inv)
-    bad = frobenius_residual(ext, t, nu, evec)
-    if bad:
-        raise InternalCheckError("iso-extracted Frobenius system fails %r" % bad)
+        return Verdict(q, "unknown", "invertibility search was inconclusive", meta=meta)
     return Verdict(q, "yes",
                    "Frobenius system extracted from a twisted-dual isomorphism",
-                   witness={"nu": nu, "e": evec, "iso": phi}, meta=meta)
+                   witness={"nu": phibar_to_nu(ext, dspace, phi),
+                            "e": phi_to_e(ext, t, sigmas, phi_inv), "iso": phi},
+                   meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ from .exactlin import (
 from .entwining import Entwining, check_entwining
 from .homspaces import (
     BilinearSystem,
+    FrobeniusProblem,
     SearchConfig,
     Verdict,
-    combine_in_span,
-    combine_vec,
-    solve_affine_in_span,
+    decide_frobenius,
+    decide_normalized,
 )
 from .ringext import RingExtension, frobenius_check, tensor_over_R
 from .structures import (
@@ -332,26 +332,13 @@ def gamma_section_map(fact: Factorization) -> LinMap:
 
 def smash_split_A(fact: Factorization) -> Verdict:
     """Split: kappa in V3 with kappa(1_B) = 1_A."""
-    f = fact.field
     v3 = compute_V3(fact)
-    one_b = list(fact.b.unit)
-    one_a = list(fact.a.unit)
-
-    def residual(coeffs):
-        k = (combine_in_span(f, v3.basis, coeffs) if v3.basis
-             else LinMap.zero_map(f, (fact.b.dim,), (fact.a.dim,)))
-        return [x - t for x, t in zip(k.apply(one_b), one_a)]
-
-    part, _ = solve_affine_in_span(f, v3.dim, residual)
-    meta = {"V3_dim": v3.dim, "definitive": True}
-    if part is None:
-        return Verdict("smash-A-split", "no",
-                       "no commuting map B -> A fixes the unit", meta=meta)
-    k = combine_in_span(f, v3.basis, part)
-    if kappa_residual(fact, k):
-        raise InternalCheckError("split witness violates the kappa law")
-    return Verdict("smash-A-split", "yes", "unit-fixing kappa found",
-                   witness={"kappa": k}, meta=meta)
+    return decide_normalized(
+        fact.field, "smash-A-split", v3,
+        LinMap.zero_map(fact.field, (fact.b.dim,), (fact.a.dim,)),
+        lambda k: k.apply(fact.b.unit), fact.a.unit, "kappa",
+        ("no commuting map B -> A fixes the unit", "unit-fixing kappa found"),
+        {"V3_dim": v3.dim})
 
 
 def smash_separable_A(fact: Factorization) -> Verdict:
@@ -360,23 +347,11 @@ def smash_separable_A(fact: Factorization) -> Verdict:
     nb, na = fact.b.dim, fact.a.dim
     w3 = compute_W3(fact)
     mu = fact.b.mult_map().tensor(LinMap.identity(f, (na,)))
-    target = list(kron_vec(fact.b.unit, fact.a.unit))
-    dim = nb * nb * na
-
-    def residual(coeffs):
-        e = combine_vec(f, w3.basis, coeffs, dim)
-        return [x - y for x, y in zip(mu.apply(e), target)]
-
-    part, _ = solve_affine_in_span(f, w3.dim, residual)
-    meta = {"W3_dim": w3.dim, "definitive": True}
-    if part is None:
-        return Verdict("smash-A-sep", "no",
-                       "no Casimir element contracts to the unit", meta=meta)
-    e = tuple(combine_vec(f, w3.basis, part, dim))
-    if w3_residual(fact, e):
-        raise InternalCheckError("separability witness is not Casimir")
-    return Verdict("smash-A-sep", "yes", "separability element found",
-                   witness={"e": e}, meta=meta)
+    return decide_normalized(
+        f, "smash-A-sep", w3, (f.zero,) * (nb * nb * na), mu.apply,
+        kron_vec(fact.b.unit, fact.a.unit), "e",
+        ("no Casimir element contracts to the unit", "separability element found"),
+        {"W3_dim": w3.dim})
 
 
 def _frobenius_values(fact: Factorization, kappa: LinMap, evec) -> list:
@@ -430,78 +405,44 @@ def smash_frobenius_A(fact: Factorization, cfg: SearchConfig = SearchConfig(),
     pulls the witnesses back along the leg identification; route="auto"
     chains them.
     """
-    if route not in ("auto", "search", "iso"):
-        raise ValueError("route must be auto, search, or iso")
+    return decide_frobenius(FrobeniusProblem(
+        "smash-A-frob", "system", system=lambda: frobenius_smash_system(fact),
+        dims=("V3_dim", "W3_dim"),
+        witness=lambda evec, kappa: {"kappa": kappa, "e": evec},
+        residual=lambda w: frobenius_smash_residual(fact, w["kappa"], w["e"]),
+        iso=lambda: _iso_route(fact, cfg)), cfg, route)
+
+
+def _iso_route(fact: Factorization, cfg: SearchConfig) -> Verdict:
+    """The extension's iso route on A -> B # A, its system pulled back."""
     f = fact.field
     nb, na = fact.b.dim, fact.a.dim
     q = "smash-A-frob"
-
-    verdict_search = None
-    if route in ("auto", "search"):
-        system = frobenius_smash_system(fact)
-        hit, complete, meta = system.search(cfg)
-        meta.update({"V3_dim": len(system.unknowns), "W3_dim": len(system.cands),
-                     "route": "search"})
-        if hit is not None:
-            evec, kappa = hit
-            bad = frobenius_smash_residual(fact, kappa, evec)
-            if bad:
-                raise InternalCheckError("Frobenius search witness fails %r" % bad)
-            meta["definitive"] = True
-            return Verdict(q, "yes", "Frobenius system found by candidate search",
-                           witness={"kappa": kappa, "e": tuple(evec)}, meta=meta)
-        if complete:
-            meta["definitive"] = True
-            return Verdict(q, "no",
-                           "candidate space scanned completely; no system exists",
-                           meta=meta)
-        meta["definitive"] = False
-        verdict_search = Verdict(q, "unknown", "search budget exhausted", meta=meta)
-        if route == "search":
-            return verdict_search
-
     ext = unit_embedding_A(fact, validate=False)
     ve = frobenius_check(ext, cfg, route="iso")
     meta = dict(ve.meta)
     meta["route"] = "iso"
-    if ve.status == "no":
-        return Verdict(q, "no", ve.reason, meta=meta)
     if ve.status != "yes":
-        return verdict_search or Verdict(q, "unknown", ve.reason, meta=meta)
+        return Verdict(q, ve.status, ve.reason, meta=meta)
     t = tensor_over_R(ext)
-    nu = ve.witness["nu"]
     restrict = LinMap.from_images(
         f, (nb,), (ext.s.dim,),
         [kron_vec(basis_vec(f, nb, i), fact.a.unit) for i in range(nb)])
-    kappa = nu.with_shapes((ext.s.dim,), (na,)).compose(restrict)
+    kappa = ve.witness["nu"].with_shapes((ext.s.dim,), (na,)).compose(restrict)
     evec = tuple(gamma_lift_map(fact).apply(t.sigma.apply(ve.witness["e"])))
-    bad = frobenius_smash_residual(fact, kappa, evec)
-    if bad:
-        raise InternalCheckError("translated Frobenius witness fails %r" % bad)
     return Verdict(q, "yes", "Frobenius system pulled back from the extension",
                    witness={"kappa": kappa, "e": evec}, meta=meta)
 
 
 def smash_over_A_report(fact: Factorization, cfg: SearchConfig = SearchConfig(),
                         validate: bool = True) -> dict:
-    """Split/separable/Frobenius verdicts for B # A over A.
-
-    The Frobenius answer is cross-checked against the extension machinery
-    on A -> B # A; a definitive disagreement raises.
-    """
+    """Split/separable/Frobenius verdicts for B # A over A."""
     if validate:
         _require_valid(fact)
-    frob = smash_frobenius_A(fact, cfg)
-    cross = frobenius_check(unit_embedding_A(fact, validate=False), cfg)
-    if (frob.meta.get("definitive") and cross.meta.get("definitive")
-            and frob.status != cross.status):
-        raise InternalCheckError(
-            "smash and extension disagree on Frobenius: %s vs %s"
-            % (frob.status, cross.status))
     return {
         "split": smash_split_A(fact),
         "separable": smash_separable_A(fact),
-        "frobenius": frob,
+        "frobenius": smash_frobenius_A(fact, cfg),
     }
 
 
@@ -577,12 +518,19 @@ def cross_check_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig()) -> d
     """The entwined Frobenius question against the smash-extension one.
 
     The coaction-forgetting pair is Frobenius exactly when (C*)^op # A is
-    Frobenius over A; both verdicts are computed and compared.
+    Frobenius over A; both verdicts are computed and compared.  The smash
+    verdict is also checked against the extension machinery on
+    A -> (C*)^op # A, and a definitive disagreement there raises.
     """
     from .coforget import FG_frobenius
     entwined = FG_frobenius(e, cfg)
     fact = entwining_to_factorization(e, validate=False)
-    extension = smash_over_A_report(fact, cfg, validate=False)["frobenius"]
+    extension = smash_frobenius_A(fact, cfg)
+    direct = frobenius_check(unit_embedding_A(fact, validate=False), cfg)
+    if extension.definitive and direct.definitive and extension.status != direct.status:
+        raise InternalCheckError(
+            "smash and extension disagree on Frobenius: %s vs %s"
+            % (extension.status, direct.status))
     agree = (entwined.status == extension.status
              or not (entwined.definitive and extension.definitive))
     return {"entwined": entwined, "extension": extension, "agree": agree}

@@ -10,7 +10,7 @@ malformed shapes and dim 0 are rejected with ParseError before any math runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactlin import (
     Field,
@@ -19,10 +19,8 @@ from .exactlin import (
     basis_vec,
     iter_multi,
     kron_vec,
-    prod,
     swap_map,
     unflatten_index,
-    vec_zero,
 )
 
 

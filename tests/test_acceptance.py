@@ -11,8 +11,7 @@ import random
 import time
 from contextlib import redirect_stdout
 
-import pytest
-
+from _reversed_corpus import run_reversed
 from entwine.actforget import (
     FROBENIUS_PRIME_CS,
     FprimeGprime_frobenius,
@@ -20,7 +19,6 @@ from entwine.actforget import (
     compute_W1prime,
     dual_basis_A,
     e_to_omega,
-    frobenius_prime_residual,
     omega_to_e,
     omegabar_to_vartheta,
     vartheta_to_omegabar,
@@ -402,9 +400,10 @@ def test_criterion_10_corpus_run_byte_determinism(monkeypatch):
         first = run_json()
         second = run_json()
         assert first == second
-        monkeypatch.setenv("ENTWINE_NO_PARALLEL", "1")
-        serial = run_json()
-        assert serial == first
+        code, reversed_order = run_reversed(monkeypatch,
+                                            ["corpus", "run", "--format", "json"])
+        assert code == 0
+        assert reversed_order == first
         rep = json.loads(first)
         assert rep["ok"] and rep["failed"] == 0
 

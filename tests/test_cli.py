@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from _reversed_corpus import run_reversed
 from entwine.cli import (
     main,
     parse_structure_document,
@@ -280,10 +281,9 @@ def test_corpus_run_clean_and_deterministic(capsys, monkeypatch):
     assert outs[0] == outs[1]
     rep = json.loads(outs[0])
     assert rep["ok"] and rep["failed"] == 0 and rep["checks"] > 50
-    monkeypatch.setenv("ENTWINE_NO_PARALLEL", "1")
-    code, serial, _ = run(capsys, "corpus", "run", "--format", "json")
+    code, out = run_reversed(monkeypatch, ["corpus", "run", "--format", "json"])
     assert code == 0
-    assert serial == outs[0]
+    assert out == outs[0]
 
 
 def test_corpus_run_injected_mutation_fails(capsys):

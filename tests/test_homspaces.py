@@ -1,6 +1,8 @@
-"""Hom-space bases, invertibility search, and affine span solving."""
+"""Hom-space bases, invertibility search, affine span solving, and the two
+decision pipelines every decider goes through."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,12 +21,16 @@ from entwine.entwining import (
     std_object_CA,
     std_object_CstarA,
 )
-from entwine.exactlin import Field, LinMap, QQ
+from entwine.exactlin import Field, InternalCheckError, LinMap, QQ, SolutionSpace
 from entwine.homspaces import (
     ENTWINED_MORPHISMS,
     ConstraintSet,
+    FrobeniusProblem,
     SearchConfig,
+    Verdict,
     combine_in_span,
+    decide_frobenius,
+    decide_normalized,
     find_invertible_in_span,
     hom_basis,
     iso_exists,
@@ -205,3 +211,87 @@ def test_solve_affine_in_span_recovers_solution():
 def test_solve_affine_infeasible():
     part, kern = solve_affine_in_span(QQ, 1, lambda c: [c[0], c[0] - QQ.one])
     assert part is None
+
+
+# -- the separability helper -------------------------------------------------
+
+def _plane(residual=lambda x: []):
+    return SolutionSpace([(QQ.one, QQ.zero), (QQ.zero, QQ.one)], residual)
+
+
+def test_decide_normalized_finds_and_names_the_witness():
+    v = decide_normalized(QQ, "q", _plane(), None, lambda x: [x[0] + x[1], x[0] - x[1]],
+                          [QQ.of(2), QQ.zero], "w", ("none", "found"), {"dim": 2})
+    assert (v.status, v.reason, v.witness) == ("yes", "found", {"w": (QQ.one, QQ.one)})
+    assert v.meta == {"dim": 2, "definitive": True}
+
+
+def test_decide_normalized_on_an_empty_space_uses_the_zero_element():
+    empty = SolutionSpace([], lambda x: [])
+    zero = (QQ.zero, QQ.zero)
+    v = decide_normalized(QQ, "q", empty, zero, list, [QQ.zero, QQ.zero], "w",
+                          ("none", "found"), {})
+    assert v.status == "yes" and v.witness == {"w": zero}
+    v = decide_normalized(QQ, "q", empty, zero, list, [QQ.one, QQ.zero], "w",
+                          ("none", "found"), {})
+    assert (v.status, v.reason, v.definitive) == ("no", "none", True)
+
+
+def test_decide_normalized_rechecks_the_laws_of_its_space():
+    # the basis satisfies the space's laws, the normalized combination does not
+    space = _plane(lambda x: ["law"] if x == (QQ.one, QQ.one) else [])
+    with pytest.raises(InternalCheckError, match="law"):
+        decide_normalized(QQ, "q", space, None, list, [QQ.one, QQ.one], "w",
+                          ("none", "found"), {})
+
+
+# -- the Frobenius driver ------------------------------------------------------
+
+def _problem(search, iso_status, bad=()):
+    """A problem whose search returns `search` = (hit, complete) and whose
+    iso route answers `iso_status`; every witness fails `bad`."""
+    system = SimpleNamespace(unknowns=[None], cands=[None, None],
+                             search=lambda cfg: (search[0], search[1], {"points": 3}))
+    return FrobeniusProblem(
+        "q", "pair", system=lambda: system, dims=("U_dim", "C_dim"),
+        witness=lambda w, v: {"w": w, "v": v}, residual=lambda wit: list(bad),
+        iso=lambda: Verdict("q", iso_status, "by iso", witness={"w": 1},
+                            meta={"route": "iso"}))
+
+
+@pytest.mark.parametrize("route", ["search", "auto"])
+def test_decide_frobenius_search_verdicts(route):
+    v = decide_frobenius(_problem(((1, 2), False), "no"), SearchConfig(), route)
+    assert (v.status, v.witness) == ("yes", {"w": 1, "v": 2})
+    assert v.meta == {"points": 3, "U_dim": 1, "C_dim": 2, "route": "search",
+                      "definitive": True}
+    v = decide_frobenius(_problem((None, True), "yes"), SearchConfig(), route)
+    assert (v.status, v.reason) == ("no", "candidate space scanned completely; "
+                                          "no pair exists")
+
+
+def test_decide_frobenius_falls_back_to_the_iso_route():
+    cfg = SearchConfig()
+    undecided = (None, False)
+    v = decide_frobenius(_problem(undecided, "unknown"), cfg, "search")
+    assert (v.status, v.reason, v.meta["definitive"]) == (
+        "unknown", "search budget exhausted", False)
+    for status in ("yes", "no"):
+        v = decide_frobenius(_problem(undecided, status), cfg, "auto")
+        assert (v.status, v.meta["route"]) == (status, "iso")
+    # an undecided iso route keeps the search's verdict
+    v = decide_frobenius(_problem(undecided, "unknown"), cfg, "auto")
+    assert (v.status, v.meta["route"]) == ("unknown", "search")
+    v = decide_frobenius(_problem(undecided, "unknown"), cfg, "iso")
+    assert (v.status, v.reason) == ("unknown", "by iso")
+
+
+@pytest.mark.parametrize("route,search", [("search", ((1, 2), False)), ("iso", None)])
+def test_decide_frobenius_rechecks_every_witness(route, search):
+    with pytest.raises(InternalCheckError, match="from the %s route" % route):
+        decide_frobenius(_problem(search, "yes", bad=["law"]), SearchConfig(), route)
+
+
+def test_decide_frobenius_rejects_an_unknown_route():
+    with pytest.raises(ValueError):
+        decide_frobenius(_problem((None, True), "no"), SearchConfig(), "fast")

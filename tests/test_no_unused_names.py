@@ -1,0 +1,123 @@
+"""No dead names in the package: every import is used and every local
+variable a function assigns is read somewhere in that function.
+
+A static scan of `src/entwine/*.py` with `ast`, standing in for a linter.
+Names that start with "_" are exempt, as is `__init__.py`, whose imports
+are the package's public re-exports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "entwine"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+SCOPES = FUNCTIONS + (ast.ClassDef, ast.ListComp, ast.SetComp, ast.DictComp,
+                      ast.GeneratorExp)
+
+
+def _loads(tree) -> set:
+    """Every name read anywhere in the tree, string annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        annotation = None
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= _loads(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def _stored(target) -> list:
+    """The names an assignment target binds, tuple unpacking included."""
+    return [n.id for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
+def _own_nodes(fn):
+    """The nodes of a function body outside nested functions, classes and
+    comprehensions, which are scopes of their own."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(tree) -> list:
+    used = _loads(tree)
+    used |= {n.value.id for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if not name.startswith("_") and name not in used:
+                    out.append("line %d: import %s" % (node.lineno, name))
+    return out
+
+
+def unread_locals(tree) -> list:
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, FUNCTIONS):
+            continue
+        read = _loads(fn)
+        declared = set()
+        stored = []
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared |= set(node.names)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    stored += [(node.lineno, n) for n in _stored(target)]
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.For,
+                                   ast.AsyncFor, ast.NamedExpr)):
+                stored += [(node.lineno, n) for n in _stored(node.target)]
+            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                stored += [(node.optional_vars.lineno, n)
+                           for n in _stored(node.optional_vars)]
+        for lineno, name in stored:
+            if not name.startswith("_") and name not in read and name not in declared:
+                out.append("line %d: %s in %s" % (lineno, name,
+                                                  getattr(fn, "name", "<lambda>")))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert unread_locals(ast.parse(path.read_text())) == []
+
+
+def test_the_scan_finds_dead_names():
+    tree = ast.parse(
+        "from typing import Optional, Sequence\n"
+        "import os\n"
+        "def f(x: 'Sequence'):\n"
+        "    a, b = x\n"
+        "    c = 1\n"
+        "    for i in x:\n"
+        "        pass\n"
+        "    def g():\n"
+        "        return a\n"
+        "    _d = 2\n"
+        "    return g\n")
+    assert unused_imports(tree) == ["line 1: import Optional", "line 2: import os"]
+    assert sorted(unread_locals(tree)) == ["line 4: b in f", "line 5: c in f",
+                                           "line 6: i in f"]

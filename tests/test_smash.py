@@ -11,6 +11,8 @@ import pytest
 
 from entwine.corpus import (
     arrow_coalgebra,
+    corpus_entwinings,
+    corpus_factorizations,
     cyclic_group_algebra,
     cyclic_group_bialgebra,
     dual_numbers_coalgebra,
@@ -20,13 +22,15 @@ from entwine.corpus import (
     trivial_coalgebra,
 )
 from entwine.entwining import DoiHopfDatum, Entwining, from_doi_hopf
-from entwine.exactlin import QQ, Field, LinMap, ParseError
+from entwine.exactlin import QQ, Field, InternalCheckError, LinMap, ParseError
 from entwine.homspaces import SearchConfig
+from entwine import ringext
 from entwine.ringext import (
     casimir_residual,
     check_extension,
     compute_casimir,
     compute_expectations,
+    frobenius_check,
     tensor_over_R,
 )
 from entwine.smash import (
@@ -481,3 +485,40 @@ def test_cross_check_frobenius_agrees(field):
         assert cc["agree"]
         assert cc["entwined"].status == "yes"
         assert cc["extension"].status == "yes"
+
+
+def _corpus_and_derived_factorizations():
+    out = []
+    for field in FIELDS:
+        tag = "Q" if field.kind == "Q" else "F%d" % field.p
+        out += [pytest.param(fact, id="%s-%s" % (tag, name))
+                for name, fact in corpus_factorizations(field)]
+        out += [pytest.param(entwining_to_factorization(e, validate=False),
+                             id="%s-from-%s" % (tag, name))
+                for name, e in corpus_entwinings(field)]
+    return out
+
+
+@pytest.mark.parametrize("fact", _corpus_and_derived_factorizations())
+def test_smash_frobenius_agrees_with_the_extension(fact):
+    """B # A over A is Frobenius exactly when the extension A -> B # A is;
+    both deciders answer definitively and alike."""
+    smash_v = smash_frobenius_A(fact)
+    ext_v = frobenius_check(unit_embedding_A(fact, validate=False))
+    assert smash_v.definitive and ext_v.definitive
+    assert smash_v.status == ext_v.status
+
+
+def test_cross_check_raises_when_smash_and_extension_disagree(monkeypatch):
+    e = Entwining.flip(trivial_algebra(F2), grouplike_coalgebra(F2, 2))
+    assert cross_check_frobenius(e)["agree"]
+    real = ringext.frobenius_check
+
+    def flipped(ext, cfg=SearchConfig(), route="auto"):
+        v = real(ext, cfg, route)
+        v.status = {"yes": "no", "no": "yes"}.get(v.status, v.status)
+        return v
+
+    monkeypatch.setattr("entwine.smash.frobenius_check", flipped)
+    with pytest.raises(InternalCheckError, match="smash and extension disagree"):
+        cross_check_frobenius(e)
