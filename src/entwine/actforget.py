@@ -22,6 +22,7 @@ from .entwining import (
     invert_psi,
     std_object_AstarC,
     std_object_CA,
+    twisted_mult,
 )
 from .exactlin import (
     InternalCheckError,
@@ -30,6 +31,7 @@ from .exactlin import (
     SolutionSpace,
     Term,
     basis_vec,
+    iter_multi,
 )
 from .homspaces import (
     BilinearSystem,
@@ -198,39 +200,18 @@ def frobenius_prime_residual(e: Entwining, vt: LinMap, em: LinMap) -> list[str]:
 
 def _extract_vartheta(e: Entwining, iso: LinMap) -> LinMap:
     """vartheta(c (x) a) = <iso(c (x) a), 1 (x) counit>."""
-    f = e.field
     na, nc = e.a.dim, e.c.dim
-    row = []
-    for gamma in range(nc):
-        for beta in range(na):
-            acc = f.zero
-            for i in range(na):
-                u = e.a.unit[i]
-                if not u:
-                    continue
-                for v in range(nc):
-                    cv = e.c.counit[v]
-                    if cv:
-                        acc = acc + u * cv * iso.mat[i * nc + v][gamma * na + beta]
-            row.append(acc)
-    return LinMap(f, (nc, na), (1,), (tuple(row),))
+    pair = e.a.unit_map().transpose().tensor(e.c.counit_map())
+    return pair.compose(iso.with_shapes((nc, na), (na, nc))).with_shapes((nc, na), (1,))
 
 
 def _extract_e(e: Entwining, iso_inv: LinMap) -> LinMap:
     """e(c) = sum_i a_i (x) (counit (x) id) iso_inv(a_i* (x) c)."""
-    f = e.field
     na, nc = e.a.dim, e.c.dim
-    mat = [[f.zero] * nc for _ in range(na * na)]
-    for gamma in range(nc):
-        for i in range(na):
-            for t in range(na):
-                acc = f.zero
-                for v in range(nc):
-                    cv = e.c.counit[v]
-                    if cv:
-                        acc = acc + cv * iso_inv.mat[v * na + t][i * nc + gamma]
-                mat[i * na + t][gamma] = acc
-    return LinMap(f, (nc,), (na, na), tuple(tuple(r) for r in mat))
+    counit_leg = e.c.counit_map().tensor(LinMap.identity(e.field, (na,)))
+    # legs (t | a_i*, c)
+    return (counit_leg.compose(iso_inv.with_shapes((na, nc), (nc, na)))
+            .with_shapes((na, nc), (na,)).regroup((1, 0), (2,)))
 
 
 def frobenius_prime_system(e: Entwining) -> BilinearSystem:
@@ -278,27 +259,10 @@ def e_to_omega(e: Entwining, em: LinMap) -> LinMap:
     """
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    emap = em.with_shapes((nc,), (na, na))
-    mat = [[f.zero] * (na * nc) for _ in range(nc * na)]
-    for gamma in range(na):
-        for delta in range(nc):
-            col = gamma * nc + delta
-            for j1 in range(nc):
-                for j2 in range(nc):
-                    d = e.c.comult[delta][j1][j2]
-                    if not d:
-                        continue
-                    for b1 in range(na):
-                        for b2 in range(na):
-                            ev = emap.mat[b1 * na + b2][j2]
-                            if not ev:
-                                continue
-                            for u in range(nc):
-                                p = e.psi_entry(gamma, u, j1, b1)
-                                if p:
-                                    mat[u * na + b2][col] = \
-                                        mat[u * na + b2][col] + d * ev * p
-    return LinMap(f, (na, nc), (nc, na), tuple(tuple(r) for r in mat))
+    # legs (e1(c2)_psi, c1^psi, e2(c2) | c)
+    return (e.psi.tensor(LinMap.identity(f, (na,)))
+            .compose(LinMap.identity(f, (nc,)).tensor(em.with_shapes((nc,), (na, na))))
+            .compose(e.c.comult_map())).regroup((1, 2), (0, 3))
 
 
 def omega_to_e(e: Entwining, omega: LinMap) -> LinMap:
@@ -314,30 +278,12 @@ def vartheta_to_omegabar(e: Entwining, vt: LinMap) -> LinMap:
     """
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    v = vt.with_shapes((nc, na), (1,))
-    mat = [[f.zero] * (nc * na) for _ in range(na * nc)]
-    for gamma in range(nc):
-        for beta in range(na):
-            col = gamma * na + beta
-            for j1 in range(nc):
-                for j2 in range(nc):
-                    d = e.c.comult[gamma][j1][j2]
-                    if not d:
-                        continue
-                    for alpha in range(na):
-                        for vv in range(nc):
-                            p = e.psi_entry(alpha, vv, j2, beta)
-                            if not p:
-                                continue
-                            for i in range(na):
-                                for t, mm in enumerate(e.a.mult[alpha][i]):
-                                    if not mm:
-                                        continue
-                                    tv = v.mat[0][j1 * na + t]
-                                    if tv:
-                                        mat[i * nc + vv][col] = \
-                                            mat[i * nc + vv][col] + d * p * mm * tv
-    return LinMap(f, (nc, na), (na, nc), tuple(tuple(r) for r in mat))
+    idc = LinMap.identity(f, (nc,))
+    # legs (c2^psi | c, a, a_i)
+    return (vt.with_shapes((nc, na), (1,)).tensor(idc)
+            .compose(idc.tensor(twisted_mult(e)))
+            .compose(e.c.comult_map().tensor(LinMap.identity(f, (na, na))))
+            .with_shapes((nc, na, na), (nc,))).regroup((3, 0), (1, 2))
 
 
 def omegabar_to_vartheta(e: Entwining, omegabar: LinMap) -> LinMap:
@@ -378,21 +324,17 @@ def dual_basis_A(e: Entwining, vt: LinMap, em: LinMap,
     elements = []
     functionals = []
     v = vt.with_shapes((nc, na), (1,))
-    for u in range(nc):
-        for s in range(na):
-            for t in range(na):
-                w = coeffs[(u * na + s) * na + t]
-                if not w:
-                    continue
-                elements.append(tuple(basis_vec(f, na, t)))
-                # a |-> w * vartheta(phi(a (x) e_u) multiplied into e_s)
-                lift = phi.compose(
-                    LinMap.identity(f, (na,)).tensor(
-                        LinMap.const(f, basis_vec(f, nc, u), (nc,))))
-                func = (v.compose(idc.tensor(e.a.rmult(basis_vec(f, na, s))))
-                        .compose(lift.with_shapes((na,), (nc, na)))
-                        .scale(w)).with_shapes((na,), (1,))
-                functionals.append(func)
+    for (u, s, t), w in zip(iter_multi((nc, na, na)), coeffs):
+        if not w:
+            continue
+        elements.append(tuple(basis_vec(f, na, t)))
+        # a |-> w * vartheta(phi(a (x) e_u) multiplied into e_s)
+        lift = phi.compose(
+            LinMap.identity(f, (na,)).tensor(LinMap.const(f, basis_vec(f, nc, u), (nc,))))
+        func = (v.compose(idc.tensor(e.a.rmult(basis_vec(f, na, s))))
+                .compose(lift.with_shapes((na,), (nc, na)))
+                .scale(w)).with_shapes((na,), (1,))
+        functionals.append(func)
 
     # resolution of identity: a |-> sum_i a_i sigma_i(a)
     resolver = LinMap.zero_map(f, (na,), (na,))

@@ -309,7 +309,10 @@ def parse_structure_document(doc):
     doc = _dict(doc, "$")
     if "field" not in doc:
         _at("$", "missing \"field\"")
-    field = field_from_dict(doc["field"])
+    try:
+        field = field_from_dict(doc["field"])
+    except ParseError as ex:
+        _at("$.field", ex)
     kinds = [k for k in PAYLOAD_KEYS if k in doc]
     extra = set(doc) - set(PAYLOAD_KEYS) - {"field"}
     if extra:
@@ -902,11 +905,22 @@ def _field_flag(spec: str) -> Field:
     raise ParseError("usage error: --field takes Q or F<p>, not %r" % (spec,))
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option value; anything else is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, not %r" % text)
+    return n
+
+
 def _common_flags(sp):
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--enum-budget", type=int, default=1 << 16)
-    sp.add_argument("--trials", type=int, default=64)
+    sp.add_argument("--enum-budget", type=_count, default=1 << 16)
+    sp.add_argument("--trials", type=_count, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,14 +23,18 @@ from .entwining import (
     Entwining,
     std_object_AC,
     std_object_CstarA,
+    twisted_comult,
 )
 from .exactlin import (
     LinearLaws,
     LinMap,
+    ShapeError,
     SolutionSpace,
     Term,
     basis_vec,
+    iter_multi,
     kron_vec,
+    vec_is_zero,
 )
 from .homspaces import (
     BilinearSystem,
@@ -95,43 +99,42 @@ def compute_V1(e: Entwining) -> SolutionSpace:
 
 
 def z_residual(e: Entwining, z: Sequence) -> list[str]:
+    """The labels of the basis elements b of A with b z != z b, for one z
+    in A (x) C, where (x (x) c) b = x b_psi (x) c^psi; evaluated on z from
+    the structure constants of A and psi, not through the maps whose law
+    `compute_W1` solves."""
     f = e.field
-    na = e.a.dim
-    act = std_object_AC(e, validate=False).act
+    na, nc = e.a.dim, e.c.dim
+    if len(z) != na * nc:
+        raise ShapeError("z has length %d, want %d" % (len(z), na * nc))
+    mult = e.a.mult
+    # psi_img[c][b]: the nonzero (a2, c2, coefficient) of psi(e_c (x) e_b)
+    psi_img = [[[(a2, c2, p) for a2, c2 in iter_multi((na, nc))
+                 if (p := e.psi_entry(a2, c2, c, b))] for b in range(na)] for c in range(nc)]
+    terms = [(idx // nc, idx % nc, x) for idx, x in enumerate(z) if x]
     bad = []
     for beta in range(na):
-        left = _apply_lmult(e, beta, z)
-        right = act.apply(kron_vec(list(z), basis_vec(f, na, beta)))
-        if list(left) != list(right):
+        diff = [f.zero] * (na * nc)
+        for i, j, x in terms:
+            for t, m in enumerate(mult[beta][i]):  # b z
+                if m:
+                    diff[t * nc + j] += m * x
+            for a2, c2, p in psi_img[j][beta]:  # z_A b_psi (x) z_C^psi
+                for t, m in enumerate(mult[i][a2]):
+                    if m:
+                        diff[t * nc + c2] -= m * p * x
+        if not vec_is_zero(diff):
             bad.append("z-central@a%d" % beta)
     return bad
 
 
-def _apply_lmult(e: Entwining, beta: int, z: Sequence):
-    f = e.field
-    na, nc = e.a.dim, e.c.dim
-    lm = e.a.lmult(basis_vec(f, na, beta))
-    return lm.tensor(LinMap.identity(f, (nc,))).with_shapes((na, nc), (na, nc)).apply(list(z))
-
-
 def compute_W1(e: Entwining) -> SolutionSpace:
     """Basis of the centralized elements of A (x) C."""
-    f = e.field
     na, nc = e.a.dim, e.c.dim
-    act = std_object_AC(e, validate=False).act
-    idc = LinMap.identity(f, (nc,))
-    diffs = []
-    for beta in range(na):
-        left = e.a.lmult(basis_vec(f, na, beta)).tensor(idc)
-        right = act.compose(
-            LinMap.identity(f, (na * nc,)).tensor(
-                LinMap.const(f, basis_vec(f, na, beta), (na,))))
-        diffs.append(left.with_shapes((na * nc,), (na * nc,)).sub(
-            right.with_shapes((na * nc,), (na * nc,))))
-
-    laws = LinearLaws(f, 1, na * nc)
-    for d in diffs:
-        laws.add(Term(left=d))
+    # b z = z b as maps A -> A (x) C, b |-> b z and b |-> z b
+    laws = LinearLaws(e.field, 1, na * nc)
+    laws.add(Term(left=e.a.mult_map().tensor(LinMap.identity(e.field, (nc,))), before=na),
+             Term(-1, left=std_object_AC(e, validate=False).act, after=na))
     return SolutionSpace(laws.kernel(), lambda z: z_residual(e, z))
 
 
@@ -205,27 +208,16 @@ def frobenius_residual(e: Entwining, theta: LinMap, z: Sequence) -> list[str]:
 
 def _extract_theta(e: Entwining, iso: LinMap) -> LinMap:
     """theta(d (x) c) = iso(1 (x) c) evaluated at d."""
-    f = e.field
     na, nc = e.a.dim, e.c.dim
-    mat = [[f.zero] * (nc * nc) for _ in range(na)]
-    for gamma in range(nc):
-        for d in range(nc):
-            for s in range(na):
-                acc = f.zero
-                for beta in range(na):
-                    u = e.a.unit[beta]
-                    if u:
-                        acc = acc + u * iso.mat[d * na + s][beta * nc + gamma]
-                mat[s][d * nc + gamma] = acc
-    return LinMap(f, (nc, nc), (na,), tuple(tuple(r) for r in mat))
+    unit_leg = e.a.unit_map().tensor(LinMap.identity(e.field, (nc,))).with_shapes(
+        (nc,), (na, nc))
+    # legs (d, s | c) of C* (x) A <- C
+    return iso.with_shapes((na, nc), (nc, na)).compose(unit_leg).regroup((1,), (0, 2))
 
 
 def _extract_z(e: Entwining, iso_inv: LinMap):
     """z = iso^{-1}(counit (x) 1)."""
-    eps = list(e.c.counit)
-    return tuple(iso_inv.with_shapes((e.c.dim * e.a.dim,),
-                                     (e.a.dim * e.c.dim,)).apply(
-        kron_vec(eps, list(e.a.unit))))
+    return iso_inv.apply(kron_vec(e.c.counit, e.a.unit))
 
 
 def frobenius_system(e: Entwining) -> BilinearSystem:
@@ -272,25 +264,10 @@ def theta_to_phibar(e: Entwining, theta: LinMap) -> LinMap:
     f = e.field
     na, nc = e.a.dim, e.c.dim
     th = theta.with_shapes((nc, nc), (na,))
-    mat = [[f.zero] * (na * nc) for _ in range(nc * na)]
-    for beta in range(na):
-        for gamma in range(nc):
-            col = beta * nc + gamma
-            for i in range(nc):
-                for a2 in range(na):
-                    for d2 in range(nc):
-                        p = e.psi_entry(a2, d2, i, beta)
-                        if not p:
-                            continue
-                        for s in range(na):
-                            tv = th.mat[s][d2 * nc + gamma]
-                            if not tv:
-                                continue
-                            for t_out, mm in enumerate(e.a.mult[a2][s]):
-                                if mm:
-                                    mat[i * na + t_out][col] = \
-                                        mat[i * na + t_out][col] + p * tv * mm
-    return LinMap(f, (na, nc), (nc, na), tuple(tuple(r) for r in mat))
+    # legs (a_psi theta(d^psi (x) c) | d, a, c)
+    return (e.a.mult_map()
+            .compose(LinMap.identity(f, (na,)).tensor(th))
+            .compose(e.psi.tensor(LinMap.identity(f, (nc,))))).regroup((1, 0), (2, 3))
 
 
 def phibar_to_theta(e: Entwining, phibar: LinMap) -> LinMap:
@@ -305,29 +282,12 @@ def z_to_phi(e: Entwining, z: Sequence) -> LinMap:
     """
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    mat = [[f.zero] * (nc * na) for _ in range(na * nc)]
-    for gamma in range(nc):
-        for beta in range(na):
-            col = gamma * na + beta
-            for la in range(na):
-                for lc in range(nc):
-                    zv = z[la * nc + lc]
-                    if not zv:
-                        continue
-                    for j1 in range(nc):
-                        d = e.c.comult[lc][j1][gamma]
-                        if not d:
-                            continue
-                        for alpha in range(na):
-                            for v in range(nc):
-                                p = e.psi_entry(alpha, v, j1, beta)
-                                if not p:
-                                    continue
-                                for t_out, mm in enumerate(e.a.mult[la][alpha]):
-                                    if mm:
-                                        mat[t_out * nc + v][col] = \
-                                            mat[t_out * nc + v][col] + zv * d * p * mm
-    return LinMap(f, (nc, na), (na, nc), tuple(tuple(r) for r in mat))
+    idc = LinMap.identity(f, (nc,))
+    zc = LinMap.const(f, list(z), (na, nc)).tensor(LinMap.identity(f, (na,)))
+    # legs (a_l a_psi, c_l(1)^psi, c_l(2) | a)
+    return (e.a.mult_map().tensor(idc).tensor(idc)
+            .compose(LinMap.identity(f, (na,)).tensor(twisted_comult(e)))
+            .compose(zc.with_shapes((na,), (na, nc, na)))).regroup((0, 1), (2, 3))
 
 
 def phi_to_z(e: Entwining, phi: LinMap):

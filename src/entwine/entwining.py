@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .exactlin import Field, LinMap, ParseError, iter_multi
+from .exactlin import Field, LinMap, ParseError, iter_multi, swap_map
 from .structures import (
     ActionData,
     AlgebraData,
@@ -58,7 +58,6 @@ class Entwining:
 
     @staticmethod
     def flip(a: AlgebraData, c: CoalgebraData) -> "Entwining":
-        from .exactlin import swap_map
         return Entwining(a, c, swap_map(a.field, c.dim, a.dim))
 
     def psi_entry(self, a2: int, c2: int, c: int, a: int):
@@ -134,7 +133,6 @@ def from_doi_hopf(d: DoiHopfDatum, validate: bool = True) -> Entwining:
             raise ParseError("invalid Doi-Hopf datum:\n" + rep.describe())
     f = d.field
     na, nc, nh = d.a.dim, d.c.dim, d.h.dim
-    from .exactlin import swap_map
     idh = LinMap.identity(f, (nh,))
     ida = LinMap.identity(f, (na,))
     idc = LinMap.identity(f, (nc,))
@@ -225,10 +223,45 @@ def _require_valid(e: Entwining):
         raise InvalidEntwining(rep.describe())
 
 
-def std_object_AC(e: Entwining, validate: bool = True) -> EntwinedObject:
+def _standard_object(build):
+    """With validate=True, check the entwining before `build` and the
+    entwined-object laws of what it returns after."""
+    def checked(e: Entwining, validate: bool = True) -> EntwinedObject:
+        if validate:
+            _require_valid(e)
+        obj = build(e)
+        if validate:
+            rep = check_entwined_object(e, obj)
+            if not rep.ok:
+                raise InvalidEntwining(rep.describe())
+        return obj
+    # the name and docstring of the builder, the signature of `checked`
+    checked.__name__, checked.__qualname__, checked.__doc__ = \
+        build.__name__, build.__qualname__, build.__doc__
+    return checked
+
+
+def twisted_mult(e: Entwining) -> LinMap:
+    """C (x) A (x) A -> A (x) C, c (x) b (x) a |-> b_psi a (x) c^psi."""
+    f = e.field
+    na, nc = e.a.dim, e.c.dim
+    return (e.a.mult_map().tensor(LinMap.identity(f, (nc,)))
+            .compose(LinMap.identity(f, (na,)).tensor(swap_map(f, nc, na)))
+            .compose(e.psi.tensor(LinMap.identity(f, (na,)))))
+
+
+def twisted_comult(e: Entwining) -> LinMap:
+    """C (x) A -> A (x) C (x) C, c (x) a |-> a_psi (x) c1^psi (x) c2."""
+    f = e.field
+    na, nc = e.a.dim, e.c.dim
+    return (e.psi.tensor(LinMap.identity(f, (nc,)))
+            .compose(LinMap.identity(f, (nc,)).tensor(swap_map(f, nc, na)))
+            .compose(e.c.comult_map().tensor(LinMap.identity(f, (na,)))))
+
+
+@_standard_object
+def std_object_AC(e: Entwining) -> EntwinedObject:
     """A (x) C with (b (x) c) a = b a_psi (x) c^psi, rho = id (x) Delta, a(b (x) c) = ab (x) c."""
-    if validate:
-        _require_valid(e)
     f = e.field
     na, nc = e.a.dim, e.c.dim
     ida = LinMap.identity(f, (na,))
@@ -237,18 +270,12 @@ def std_object_AC(e: Entwining, validate: bool = True) -> EntwinedObject:
     act = m.tensor(idc).compose(ida.tensor(e.psi)).with_shapes((na * nc, na), (na * nc,))
     coact = ida.tensor(e.c.comult_map()).with_shapes((na * nc,), (na * nc, nc))
     lact = m.tensor(idc).with_shapes((na, na * nc), (na * nc,))
-    obj = EntwinedObject("A(x)C", na * nc, act, coact, lact=lact)
-    if validate:
-        rep = check_entwined_object(e, obj)
-        if not rep.ok:
-            raise InvalidEntwining(rep.describe())
-    return obj
+    return EntwinedObject("A(x)C", na * nc, act, coact, lact=lact)
 
 
-def std_object_CA(e: Entwining, validate: bool = True) -> EntwinedObject:
+@_standard_object
+def std_object_CA(e: Entwining) -> EntwinedObject:
     """C (x) A with (c (x) a) b = c (x) ab, rho = (id (x) psi)(Delta (x) id), lambda = Delta (x) id."""
-    if validate:
-        _require_valid(e)
     f = e.field
     na, nc = e.a.dim, e.c.dim
     ida = LinMap.identity(f, (na,))
@@ -257,15 +284,11 @@ def std_object_CA(e: Entwining, validate: bool = True) -> EntwinedObject:
     coact = (idc.tensor(e.psi)
              .compose(e.c.comult_map().tensor(ida))).with_shapes((nc * na,), (nc * na, nc))
     lcoact = e.c.comult_map().tensor(ida).with_shapes((nc * na,), (nc, nc * na))
-    obj = EntwinedObject("C(x)A", nc * na, act, coact, lcoact=lcoact)
-    if validate:
-        rep = check_entwined_object(e, obj)
-        if not rep.ok:
-            raise InvalidEntwining(rep.describe())
-    return obj
+    return EntwinedObject("C(x)A", nc * na, act, coact, lcoact=lcoact)
 
 
-def std_object_CstarA(e: Entwining, validate: bool = True) -> EntwinedObject:
+@_standard_object
+def std_object_CstarA(e: Entwining) -> EntwinedObject:
     """C* (x) A in the coordinate dual basis.
 
     Right action: (c* (x) a) b = c* (x) ab.
@@ -273,55 +296,20 @@ def std_object_CstarA(e: Entwining, validate: bool = True) -> EntwinedObject:
     Coaction:     rho(c* (x) a) = sum_i d_i* * c* (x) a_psi (x) d_i^psi
     with * the convolution product.
     """
-    if validate:
-        _require_valid(e)
-    f = e.field
     na, nc = e.a.dim, e.c.dim
-    zero = f.zero
-    idc = LinMap.identity(f, (nc,))
-    act = idc.tensor(e.a.mult_map()).with_shapes((nc * na, na), (nc * na,))
-
-    # left action, columns indexed by (beta, (gamma, alpha)) in A (x) M
-    imgs = []
-    for beta, gamma, alpha in iter_multi((na, nc, na)):
-        out = [zero] * (nc * na)
-        for i in range(nc):
-            for a2 in range(na):
-                p = e.psi_entry(a2, gamma, i, beta)
-                if not p:
-                    continue
-                for s, mm in enumerate(e.a.mult[a2][alpha]):
-                    if mm:
-                        out[i * na + s] = out[i * na + s] + p * mm
-        imgs.append(out)
-    lact = LinMap.from_images(f, (na, nc * na), (nc * na,), imgs)
-
-    # coaction, columns indexed by (gamma, alpha)
-    imgs = []
-    for gamma, alpha in iter_multi((nc, na)):
-        out = [zero] * (nc * na * nc)
-        for i in range(nc):
-            for a2 in range(na):
-                for j in range(nc):
-                    p = e.psi_entry(a2, j, i, alpha)
-                    if not p:
-                        continue
-                    for s in range(nc):
-                        d = e.c.comult[s][i][gamma]
-                        if d:
-                            out[(s * na + a2) * nc + j] = out[(s * na + a2) * nc + j] + p * d
-        imgs.append(out)
-    coact = LinMap.from_images(f, (nc * na,), (nc * na, nc), imgs)
-
-    obj = EntwinedObject("C*(x)A", nc * na, act, coact, lact=lact)
-    if validate:
-        rep = check_entwined_object(e, obj)
-        if not rep.ok:
-            raise InvalidEntwining(rep.describe())
-    return obj
+    act = LinMap.identity(e.field, (nc,)).tensor(e.a.mult_map()).with_shapes(
+        (nc * na, na), (nc * na,))
+    # legs of twisted_mult: (b_psi a, c^psi | c, b, a); of twisted_comult:
+    # (a_psi, c1^psi, c2 | c, a)
+    lact = twisted_mult(e).regroup((2, 0), (3, 1, 4)).with_shapes(
+        (na, nc * na), (nc * na,))
+    coact = twisted_comult(e).regroup((3, 0, 1), (2, 4)).with_shapes(
+        (nc * na,), (nc * na, nc))
+    return EntwinedObject("C*(x)A", nc * na, act, coact, lact=lact)
 
 
-def std_object_AstarC(e: Entwining, validate: bool = True) -> EntwinedObject:
+@_standard_object
+def std_object_AstarC(e: Entwining) -> EntwinedObject:
     """A* (x) C in the coordinate dual basis.
 
     Right action:       (a* (x) c) b = sum_i <a*, b_psi a_i> a_i* (x) c^psi.
@@ -331,53 +319,13 @@ def std_object_AstarC(e: Entwining, validate: bool = True) -> EntwinedObject:
     compatible with the counit, coassociativity, bicomodule, and
     right-linearity laws (solved for, then frozen).
     """
-    if validate:
-        _require_valid(e)
-    f = e.field
     na, nc = e.a.dim, e.c.dim
-    zero = f.zero
-    ida_star = LinMap.identity(f, (na,))
-    coact = ida_star.tensor(e.c.comult_map()).with_shapes((na * nc,), (na * nc, nc))
-
-    # right action, columns indexed by ((gamma, delta), beta) in M (x) A
-    imgs = []
-    for gamma, delta, beta in iter_multi((na, nc, na)):
-        out = [zero] * (na * nc)
-        for i in range(na):
-            for alpha in range(na):
-                mm = e.a.mult[alpha][i][gamma]
-                if not mm:
-                    continue
-                for c2 in range(nc):
-                    p = e.psi_entry(alpha, c2, delta, beta)
-                    if p:
-                        out[i * nc + c2] = out[i * nc + c2] + mm * p
-        imgs.append(out)
-    act = LinMap.from_images(f, (na * nc, na), (na * nc,), imgs)
-
-    # left coaction, columns indexed by (gamma, delta)
-    imgs = []
-    for gamma, delta in iter_multi((na, nc)):
-        out = [zero] * (nc * na * nc)
-        for j in range(nc):
-            for v in range(nc):
-                d = e.c.comult[delta][j][v]
-                if not d:
-                    continue
-                for i in range(na):
-                    for u in range(nc):
-                        p = e.psi_entry(gamma, u, j, i)
-                        if p:
-                            out[(u * na + i) * nc + v] = out[(u * na + i) * nc + v] + p * d
-        imgs.append(out)
-    lcoact = LinMap.from_images(f, (na * nc,), (nc, na * nc), imgs)
-
-    obj = EntwinedObject("A*(x)C", na * nc, act, coact, lcoact=lcoact)
-    if validate:
-        rep = check_entwined_object(e, obj)
-        if not rep.ok:
-            raise InvalidEntwining(rep.describe())
-    return obj
+    coact = LinMap.identity(e.field, (na,)).tensor(e.c.comult_map()).with_shapes(
+        (na * nc,), (na * nc, nc))
+    act = twisted_mult(e).regroup((4, 1), (0, 2, 3)).with_shapes((na * nc, na), (na * nc,))
+    lcoact = twisted_comult(e).regroup((1, 4, 2), (0, 3)).with_shapes(
+        (na * nc,), (nc, na * nc))
+    return EntwinedObject("A*(x)C", na * nc, act, coact, lcoact=lcoact)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ a dense matrix tagged with the tensor-factor shapes of its domain and
 codomain.  Tensor legs are flattened row-major: the flat index of
 (i_1, ..., i_k) with shape (d_1, ..., d_k) is ((i_1*d_2 + i_2)*d_3 + ...).
 
+The leg layout lives here only.  A map built from structure maps by
+`compose`, `tensor` and `swap_map` is turned into the map another formula
+needs by `LinMap.regroup(cod, dom)`, which renumbers its legs (codomain
+first, then domain) into a new codomain and domain and moves entries
+without arithmetic; a leg that crosses sides is read in the coordinate dual
+basis.  `swap_map`, `LinMap.transpose` and `LinMap.from_images` are
+regroupings too.
+
 Linear algebra runs on a plain-number kernel: compose and elimination work
 on ints mod p over F_p and on Fractions over Q, with no FpElement inside
 their loops.  Elimination reduces sparse rows one at a time into the
@@ -31,6 +39,7 @@ returning; a failed substitution is an internal error, never a verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -258,15 +267,17 @@ QQ = Field("Q")
 
 
 def field_from_dict(d) -> Field:
+    """{"kind": "Q"} or {"kind": "Fp", "p": <prime>}, with no other key."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ParseError("field must be an object with a 'kind'")
-    if d["kind"] == "Q":
-        return QQ
-    if d["kind"] == "Fp":
-        if "p" not in d:
-            raise ParseError("field of kind Fp needs a prime 'p'")
-        return Field("Fp", d["p"])
-    raise ParseError("unknown field kind %r" % (d["kind"],))
+    kind = d["kind"]
+    keys = {"Q": ["kind"], "Fp": ["kind", "p"]}.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ParseError("unknown field kind %r" % (kind,))
+    if sorted(d) != keys:
+        raise ParseError("a field of kind %s takes exactly the keys %s, not %s"
+                         % (kind, ", ".join(keys), ", ".join(sorted(d))))
+    return QQ if kind == "Q" else Field("Fp", d["p"])
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +318,12 @@ def iter_multi(shape: Sequence[int]):
 # ---------------------------------------------------------------------------
 # vectors (plain tuples of scalars)
 
-def vec_zero(field: Field, n: int) -> tuple:
-    return (field.zero,) * n
-
-
 def basis_vec(field: Field, n: int, i: int) -> tuple:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(s, v):
@@ -416,26 +419,17 @@ class LinMap:
     def __post_init__(self):
         if len(self.mat) != prod(self.cod):
             raise ShapeError("row count %d != codomain dim %d" % (len(self.mat), prod(self.cod)))
+        n = prod(self.dom)
         for row in self.mat:
-            if len(row) != prod(self.dom):
-                raise ShapeError("row width %d != domain dim %d" % (len(row), prod(self.dom)))
+            if len(row) != n:
+                raise ShapeError("row width %d != domain dim %d" % (len(row), n))
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_images(field: Field, dom, cod, images: Sequence[Sequence]) -> "LinMap":
         """Build from the images of the domain basis vectors (the columns)."""
-        dom, cod = tuple(dom), tuple(cod)
-        nr, nc = prod(cod), prod(dom)
-        if len(images) != nc:
-            raise ShapeError("expected %d basis images, got %d" % (nc, len(images)))
-        rows = [[field.zero] * nc for _ in range(nr)]
-        for c, img in enumerate(images):
-            if len(img) != nr:
-                raise ShapeError("image %d has length %d, want %d" % (c, len(img), nr))
-            for r, x in enumerate(img):
-                rows[r][c] = x
-        return LinMap(field, dom, cod, tuple(tuple(r) for r in rows))
+        return LinMap.from_rows(field, cod, dom, images).transpose()
 
     @staticmethod
     def from_rows(field: Field, dom, cod, rows) -> "LinMap":
@@ -561,9 +555,32 @@ class LinMap:
                       tuple(tuple(s * x for x in r) for r in self.mat))
 
     def transpose(self) -> "LinMap":
-        return LinMap(self.field, self.cod, self.dom,
-                      tuple(zip(*self.mat)) if self.mat and self.mat[0] else
-                      tuple(() for _ in range(self.dim_dom)))
+        k = len(self.cod)
+        return self.regroup(range(k, k + len(self.dom)), range(k))
+
+    def regroup(self, cod, dom) -> "LinMap":
+        """The same tensor with its legs regrouped.
+
+        The legs of `self` are numbered codomain first, then domain: leg i
+        is self.cod[i] for i < len(self.cod), then self.dom in order.  The
+        result's codomain is the legs `cod` and its domain the legs `dom`,
+        each in the order given, and its entry at a choice of one index per
+        leg is the entry of `self` at the same choice.  So a leg that moves
+        between domain and codomain is read in the coordinate dual basis:
+        with legs (a | c, b), regroup((2, 0), (1,)) is c -> B* (x) A,
+        c |-> sum_b e_b* (x) self(c (x) e_b).  Only entries move.
+        """
+        cod, dom = tuple(cod), tuple(dom)
+        shape = self.cod + self.dom
+        if sorted(cod + dom) != list(range(len(shape))):
+            raise ShapeError("regroup: %r, %r is not an order of the %d legs"
+                             % (cod, dom, len(shape)))
+        flat = list(itertools.chain.from_iterable(self.mat))
+        entries = list(map(flat.__getitem__, _regroup_offsets(shape, cod + dom)))
+        new_dom, new_cod = tuple(shape[i] for i in dom), tuple(shape[i] for i in cod)
+        n = prod(new_dom)
+        return LinMap(self.field, new_dom, new_cod,
+                      tuple(tuple(entries[r * n:(r + 1) * n]) for r in range(prod(new_cod))))
 
     def rank(self) -> int:
         _, pivots = rref(self.field, [list(r) for r in self.mat])
@@ -584,12 +601,21 @@ class LinMap:
         return LinMap(self.field, self.cod, self.dom, inv)
 
 
+@functools.lru_cache(maxsize=1024)
+def _regroup_offsets(shape: tuple, order: tuple) -> tuple:
+    """Flat positions, in a row-major tensor with legs of sizes `shape`, of
+    the entries of its regrouping into the legs `order`, in the regrouped
+    row-major order; cached, as the same regroupings recur."""
+    offsets = [0]
+    for leg in order:
+        step = prod(shape[leg + 1:])
+        offsets = [o + i * step for o in offsets for i in range(shape[leg])]
+    return tuple(offsets)
+
+
 def swap_map(field: Field, d1: int, d2: int) -> LinMap:
     """X (x) Y -> Y (x) X on basis vectors."""
-    imgs = []
-    for i, j in iter_multi((d1, d2)):
-        imgs.append(basis_vec(field, d1 * d2, j * d1 + i))
-    return LinMap.from_images(field, (d1, d2), (d2, d1), imgs)
+    return LinMap.identity(field, (d1, d2)).regroup((1, 0), (2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .exactlin import (
     basis_vec,
     iter_multi,
     kron_vec,
+    swap_map,
     vec_is_zero,
 )
 from .entwining import Entwining, check_entwining
@@ -77,7 +78,6 @@ class Factorization:
 
     @staticmethod
     def flip(b: AlgebraData, a: AlgebraData) -> "Factorization":
-        from .exactlin import swap_map
         return Factorization(b, a, swap_map(a.field, a.dim, b.dim))
 
     def r_entry(self, b2: int, a2: int, a: int, b: int):
@@ -145,13 +145,8 @@ def smash_product(fact: Factorization, validate: bool = True) -> AlgebraData:
     """The twisted algebra B # A; rejects invalid factorizations."""
     if validate:
         _require_valid(fact)
-    f = fact.field
-    n = fact.b.dim * fact.a.dim
-    m = smash_mult_map(fact)
-    mult = tuple(tuple(tuple(m.mat[t][x * n + y] for t in range(n))
-                       for y in range(n)) for x in range(n))
-    unit = kron_vec(fact.b.unit, fact.a.unit)
-    return AlgebraData(f, n, mult, unit)
+    return AlgebraData.from_mult_map(smash_mult_map(fact),
+                                     kron_vec(fact.b.unit, fact.a.unit))
 
 
 def unit_embedding_A(fact: Factorization, validate: bool = True) -> RingExtension:
@@ -170,7 +165,6 @@ def op_dual(fact: Factorization, verify: bool = True) -> Factorization:
     The smash product of the dual is the opposite algebra of B # A under
     the leg swap; with verify=True both facts are checked exactly.
     """
-    from .exactlin import swap_map
     f = fact.field
     nb, na = fact.b.dim, fact.a.dim
     s = swap_map(f, nb, na)
@@ -258,11 +252,9 @@ def w3_residual(fact: Factorization, vec) -> list[str]:
     f = fact.field
     nb, na = fact.b.dim, fact.a.dim
     multb, multa = fact.b.mult, fact.a.mult
-    rm = fact.rmap.mat
     # r_img[a][b]: the nonzero (b2, a2, coefficient) of R(e_a (x) e_b)
-    r_img = [[[(b2, a2, rm[b2 * na + a2][a * nb + b])
-               for b2 in range(nb) for a2 in range(na) if rm[b2 * na + a2][a * nb + b]]
-              for b in range(nb)] for a in range(na)]
+    r_img = [[[(b2, a2, r) for b2, a2 in iter_multi((nb, na))
+               if (r := fact.r_entry(b2, a2, a, b))] for b in range(nb)] for a in range(na)]
     terms = [(idx // (nb * na), idx // na % nb, idx % na, x)
              for idx, x in enumerate(vec) if x]
     bad = []
@@ -471,20 +463,9 @@ def entwining_to_factorization(e: Entwining, validate: bool = True) -> Factoriza
         rep = check_entwining(e)
         if not rep.ok:
             raise ParseError("invalid entwining:\n" + rep.describe())
-    f = e.field
-    na, nc = e.a.dim, e.c.dim
-    b = dual_algebra(e.c, opposite=True)
-    imgs = []
-    for a, gamma in iter_multi((na, nc)):
-        out = [f.zero] * (nc * na)
-        for i in range(nc):
-            for a2 in range(na):
-                p = e.psi_entry(a2, gamma, i, a)
-                if p:
-                    out[i * na + a2] = out[i * na + a2] + p
-        imgs.append(out)
-    rmap = LinMap.from_images(f, (na, nc), (nc, na), imgs)
-    return Factorization(b, e.a, rmap)
+    # legs of psi: (a_psi, c^psi | c, a)
+    rmap = e.psi.with_shapes((e.c.dim, e.a.dim), (e.a.dim, e.c.dim)).regroup((2, 0), (3, 1))
+    return Factorization(dual_algebra(e.c, opposite=True), e.a, rmap)
 
 
 def factorization_to_entwining(fact: Factorization, c,
@@ -499,18 +480,8 @@ def factorization_to_entwining(fact: Factorization, c,
                          "of the declared coalgebra")
     if validate:
         _require_valid(fact)
-    f = fact.field
-    na, nc = fact.a.dim, c.dim
-    imgs = []
-    for ci, a in iter_multi((nc, na)):
-        out = [f.zero] * (na * nc)
-        for i in range(nc):
-            for a2 in range(na):
-                p = fact.rmap.mat[ci * na + a2][a * nc + i]
-                if p:
-                    out[a2 * nc + i] = out[a2 * nc + i] + p
-        imgs.append(out)
-    psi = LinMap.from_images(f, (nc, na), (na, nc), imgs)
+    # legs of R: (c*_R, a_R | a, c*)
+    psi = fact.rmap.with_shapes((fact.a.dim, c.dim), (c.dim, fact.a.dim)).regroup((1, 3), (0, 2))
     return Entwining(fact.a, c, psi)
 
 

@@ -151,24 +151,20 @@ class AlgebraData:
 
     def tensor(self, other: "AlgebraData") -> "AlgebraData":
         """Componentwise product algebra on the tensor product space."""
+        f = self.field
         da, db = self.dim, other.dim
-        dim = da * db
-        zero = self.field.zero
-        mult = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for i1 in range(da):
-            for j1 in range(da):
-                for i2 in range(db):
-                    for j2 in range(db):
-                        row = mult[i1 * db + i2][j1 * db + j2]
-                        for k1, x in enumerate(self.mult[i1][j1]):
-                            if not x:
-                                continue
-                            for k2, y in enumerate(other.mult[i2][j2]):
-                                if y:
-                                    row[k1 * db + k2] = x * y
-        unit = kron_vec(self.unit, other.unit)
-        return AlgebraData(self.field, dim,
-                           tuple(tuple(tuple(r) for r in p) for p in mult), tuple(unit))
+        m = (self.mult_map().tensor(other.mult_map())
+             .compose(LinMap.identity(f, (da,)).tensor(swap_map(f, db, da))
+                      .tensor(LinMap.identity(f, (db,)))))
+        return AlgebraData.from_mult_map(m, kron_vec(self.unit, other.unit))
+
+    @staticmethod
+    def from_mult_map(m: LinMap, unit: Sequence) -> "AlgebraData":
+        """The algebra with multiplication m: X (x) X -> X and the given unit."""
+        n = m.dim_cod
+        cube = m.transpose().mat
+        return AlgebraData(m.field, n, tuple(cube[i * n:(i + 1) * n] for i in range(n)),
+                           tuple(unit))
 
 
 def check_algebra(a: AlgebraData, subject: str = "algebra") -> ValidationReport:
@@ -249,15 +245,9 @@ def dual_algebra(c: CoalgebraData, opposite: bool = False) -> AlgebraData:
     (e_i* e_j*)(e_s) = comult[s][i][j]; with opposite=True the factors are
     convolved in reverse order.  The unit is the counit functional.
     """
-    n = c.dim
-    mult = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            a, b = (j, i) if opposite else (i, j)
-            plane.append(tuple(c.comult[s][a][b] for s in range(n)))
-        mult.append(tuple(plane))
-    return AlgebraData(c.field, n, tuple(mult), tuple(c.counit))
+    # legs of Delta: (c1, c2 | c); the product of C* pairs its legs with c1, c2
+    m = c.comult_map().regroup((2,), (1, 0) if opposite else (0, 1))
+    return AlgebraData.from_mult_map(m, c.counit)
 
 
 # ---------------------------------------------------------------------------

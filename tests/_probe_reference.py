@@ -50,7 +50,8 @@ def compute_V1(e):
                       lambda th: [d for _, d in coforget._theta_laws(e, th)])
 
 
-def compute_W1(e):
+def w1_ops(e):
+    """For each basis element b of A, the map z |-> b z - z b on A (x) C."""
     f = e.field
     na, nc = e.a.dim, e.c.dim
     act = std_object_AC(e, validate=False).act
@@ -62,7 +63,11 @@ def compute_W1(e):
             LinMap.const(f, basis_vec(f, na, beta), (na,))))
         ops.append(left.with_shapes((na * nc,), (na * nc,)).sub(
             right.with_shapes((na * nc,), (na * nc,))))
-    return probe_vectors(f, na * nc, ops)
+    return ops
+
+
+def compute_W1(e):
+    return probe_vectors(e.field, e.a.dim * e.c.dim, w1_ops(e))
 
 
 def compute_V1prime(e):

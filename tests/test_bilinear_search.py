@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import _probe_reference as ref
+from _rescaled import scaled_algebra, scales
 from entwine import actforget, coforget, ringext, smash
 from entwine.cli import main, payload_to_structure_document
 from entwine.corpus import (
@@ -29,19 +30,9 @@ from entwine.corpus import (
 from entwine.exactlin import QQ, Field, InternalCheckError
 from entwine.homspaces import BilinearSystem, SearchConfig
 from entwine.smash import Factorization, check_factorization
-from entwine.structures import AlgebraData
 
 FIELDS = (("Q", QQ), ("F2", Field("Fp", 2)), ("F3", Field("Fp", 3)))
 POINTS = 20
-
-
-def _scaled_algebra(a, s):
-    """The algebra in the basis s_i e_i: e'_i e'_j = sum_k s_i s_j m_ijk / s_k e'_k."""
-    n = a.dim
-    return AlgebraData.make(a.field, [[[s[i] * s[j] * a.mult[i][j][k] / s[k]
-                                        for k in range(n)] for j in range(n)]
-                                      for i in range(n)],
-                            [a.unit[i] / s[i] for i in range(n)])
 
 
 def _rescaled(fact):
@@ -49,14 +40,12 @@ def _rescaled(fact):
     B.  Every corpus twist map R has entries 0 and 1 only; in these bases the
     structure constants and, unless R is a flip, the entries of R take the
     values 2, 4 and 1/2 as well."""
-    f = fact.field
-    s = [f.one] + [f.of(2)] * (fact.a.dim - 1)
-    t = [f.one] + [f.of(2)] * (fact.b.dim - 1)
+    s, t = scales(fact.field, fact.a.dim), scales(fact.field, fact.b.dim)
     # R(e'_a (x) e'_b) = sum r s_a t_b / (t_b2 s_a2) e'_b2 (x) e'_a2
     r = [[[[fact.r_entry(b2, a2, a, b) * s[a] * t[b] / (t[b2] * s[a2])
             for a2 in range(fact.a.dim)] for b2 in range(fact.b.dim)]
           for b in range(fact.b.dim)] for a in range(fact.a.dim)]
-    out = Factorization.make(_scaled_algebra(fact.b, t), _scaled_algebra(fact.a, s), r)
+    out = Factorization.make(scaled_algebra(fact.b, t), scaled_algebra(fact.a, s), r)
     assert check_factorization(out).ok
     return out
 

@@ -85,6 +85,45 @@ def test_validate_structural_errors(tmp_path, capsys, mangle, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("field_obj", [
+    {"kind": "Q", "p": 5}, {"kind": "Fp", "p": 3, "extra": 1}, {"kind": "Fp"},
+    {"kind": "Q", "extra": 1}, {"kind": "F3"}, {"kind": ["Q"]}, {"p": 3}, "Q",
+    {"kind": "Fp", "p": 4},
+])
+def test_validate_field_object_takes_exactly_its_keys(tmp_path, capsys, field_obj):
+    p = export(tmp_path, "DN", QQ)
+    doc = json.loads(p.read_text())
+    doc["field"] = field_obj
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: $.field: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{path}", "--question", "FG-frob", "--enum-budget", "-1"),
+    ("analyze", "{path}", "--question", "FG-frob", "--trials", "-1"),
+    ("analyze", "{path}", "--question", "FG-frob", "--enum-budget", "many"),
+    ("corpus", "run", "--enum-budget", "-1"),
+    ("corpus", "run", "--trials", "-5"),
+])
+def test_negative_budgets_are_usage_errors(tmp_path, capsys, argv):
+    """Exit 2 from the argument parser, never the 1 of a verdict "no"."""
+    p = export(tmp_path, "flip-k-arrow", F2)
+    with pytest.raises(SystemExit) as ex:
+        main([a.format(path=p) for a in argv])
+    assert ex.value.code == 2
+    assert "expected a nonnegative integer" in capsys.readouterr().err
+
+
+def test_zero_budgets_are_accepted(tmp_path, capsys):
+    p = export(tmp_path, "flip-k-arrow", F2)
+    code, out, _ = run(capsys, "analyze", str(p), "--question", "FG-frob",
+                       "--enum-budget", "0", "--trials", "0", "--format", "json")
+    assert code in (0, 1, 3)
+    assert json.loads(out)["question"] == "FG-frob"
+
+
 def test_validate_not_json(tmp_path, capsys):
     p = tmp_path / "x.json"
     p.write_text("{nope")

@@ -13,6 +13,7 @@ from entwine.exactlin import (
     InternalCheckError,
     LinMap,
     ParseError,
+    ShapeError,
     basis_vec,
     dot,
     flatten_index,
@@ -22,6 +23,7 @@ from entwine.exactlin import (
     iter_multi,
     kron_vec,
     nullspace,
+    prod,
     rref,
     solve_linear,
     swap_map,
@@ -120,6 +122,66 @@ def test_swap_map_is_an_involution_up_to_shapes():
     s = swap_map(QQ, 2, 3)
     t = swap_map(QQ, 3, 2)
     assert t.compose(s).mat == LinMap.identity(QQ, (2, 3)).mat
+
+
+def _naive_regroup(m, cod, dom):
+    """The regrouped map entry by entry: the joint index of the result,
+    split into legs, read back at those legs in m."""
+    shape = m.cod + m.dom
+    k = len(m.cod)
+    new_cod, new_dom = tuple(shape[i] for i in cod), tuple(shape[i] for i in dom)
+    rows = []
+    for out in iter_multi(new_cod):
+        row = []
+        for inp in iter_multi(new_dom):
+            legs = [0] * len(shape)
+            for leg, i in zip(cod + dom, out + inp):
+                legs[leg] = i
+            row.append(m.mat[flatten_index(m.cod, legs[:k])][flatten_index(m.dom, legs[k:])])
+        rows.append(row)
+    return LinMap.from_rows(m.field, new_dom, new_cod, rows)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=5), st.data())
+def test_regroup_matches_naive_reference(shape, data):
+    k = data.draw(st.integers(0, len(shape)))
+    legs = data.draw(st.permutations(range(len(shape))))
+    j = data.draw(st.integers(0, len(shape)))
+    field = data.draw(st.sampled_from([QQ, F3]))
+    m = LinMap.from_rows(field, shape[k:], shape[:k],
+                         [[field.of(data.draw(st.integers(-5, 5)))
+                           for _ in range(prod(shape[k:]))] for _ in range(prod(shape[:k]))])
+    cod, dom = tuple(legs[:j]), tuple(legs[j:])
+    got = m.regroup(cod, dom)
+    assert got == _naive_regroup(m, cod, dom)
+    assert (got.cod, got.dom) == (tuple(shape[i] for i in cod), tuple(shape[i] for i in dom))
+    # and back: leg legs[i] of m is leg i of got
+    back = [legs.index(i) for i in range(len(shape))]
+    assert got.regroup(back[:k], back[k:]) == m
+
+
+def test_swap_map_and_transpose_are_unchanged():
+    """Against the definitions they had before they became regroupings."""
+    for field in (QQ, F2, F3):
+        for d1, d2 in iter_multi((3, 3)):
+            want = LinMap.from_images(
+                field, (d1 + 1, d2 + 1), (d2 + 1, d1 + 1),
+                [basis_vec(field, (d1 + 1) * (d2 + 1), j * (d1 + 1) + i)
+                 for i, j in iter_multi((d1 + 1, d2 + 1))])
+            assert swap_map(field, d1 + 1, d2 + 1) == want
+    m = LinMap.from_rows(QQ, (2, 3), (4,), [[QQ.of(6 * r + c) for c in range(6)]
+                                            for r in range(4)])
+    t = m.transpose()
+    assert (t.dom, t.cod, t.mat) == ((4,), (2, 3), tuple(zip(*m.mat)))
+
+
+def test_regroup_needs_an_order_of_the_legs():
+    m = LinMap.identity(QQ, (2, 3))
+    for cod, dom in (((0, 1), (2,)), ((0, 1), (2, 2)), ((0, 1, 2), (3, 4)),
+                     ((), (0, 1, 2, -1))):
+        with pytest.raises(ShapeError):
+            m.regroup(cod, dom)
 
 
 def test_inverse():

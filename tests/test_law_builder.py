@@ -12,6 +12,7 @@ import random
 import pytest
 
 import _probe_reference as ref
+from _rescaled import rescaled_entwining
 from entwine import actforget, coforget, homspaces, ringext, smash
 from entwine.actforget import FROBENIUS_PRIME_CS
 from entwine.coforget import FROBENIUS_CS
@@ -23,6 +24,7 @@ from entwine.corpus import (
 )
 from entwine.entwining import (
     EntwinedObject,
+    Entwining,
     from_doi_hopf,
     std_object_AC,
     std_object_AstarC,
@@ -190,6 +192,40 @@ def test_w3_residual_is_the_w3_operators(fact):
         vectors += laws.kernel()
     for vec in vectors:
         assert smash.w3_residual(fact, vec) == _w3_verdict(ops, vec)
+
+
+# The W1 laws are linear in z for any map psi: the rescaled entwinings and a
+# doubled psi, no longer an entwining, check that each coefficient of A and
+# of psi enters the residual.
+Z_ENTWININGS = ENTWININGS + [
+    pytest.param(e, id="%s-%s-%s" % (tag, name, kind))
+    for tag, field in FIELDS if field.char != 2
+    for name, corpus_e in corpus_entwinings(field)
+    for kind, e in (("rescaled", rescaled_entwining(corpus_e)),
+                    ("doubled-psi", Entwining(corpus_e.a, corpus_e.c,
+                                              corpus_e.psi.scale(field.of(2)))))]
+
+
+@pytest.mark.parametrize("e", Z_ENTWININGS)
+def test_z_residual_is_the_w1_operators(e):
+    """z_residual evaluates on the element from structure constants; it must
+    give the verdicts of the per-element W1 operators z |-> b z - z b of the
+    probing reference on the W1 basis, on the vectors that satisfy every law
+    but one, and on seeded random vectors."""
+    f, rng = e.field, random.Random(0)
+    n = e.a.dim * e.c.dim
+    ops = ref.w1_ops(e)
+    vectors = list(coforget.compute_W1(e).basis) + _samples(f, n, rng)
+    for drop in range(len(ops)):
+        laws = LinearLaws(f, 1, n)
+        for beta, op in enumerate(ops):
+            if beta != drop:
+                laws.add(Term(left=op))
+        vectors += laws.kernel()
+    for vec in vectors:
+        assert coforget.z_residual(e, vec) == [
+            "z-central@a%d" % beta for beta, op in enumerate(ops)
+            if not vec_is_zero(op.apply(vec))]
 
 
 # -- the builder on its own -------------------------------------------------
