@@ -133,13 +133,12 @@ def from_doi_hopf(d: DoiHopfDatum, validate: bool = True) -> Entwining:
             raise ParseError("invalid Doi-Hopf datum:\n" + rep.describe())
     f = d.field
     na, nc, nh = d.a.dim, d.c.dim, d.h.dim
-    idh = LinMap.identity(f, (nh,))
     ida = LinMap.identity(f, (na,))
     idc = LinMap.identity(f, (nc,))
-    # C (x) A -> C (x) A (x) H -> A (x) C (x) H -> A (x) C
+    # C (x) A -> C (x) A (x) H -> A (x) C (x) H -> A (x) C; the swap reorders legs
     psi = (ida.tensor(d.action.map.with_shapes((nc, nh), (nc,)))
-           .compose(swap_map(f, nc, na).tensor(idh))
-           .compose(idc.tensor(d.coaction.map.with_shapes((na,), (na, nh)))))
+           .compose(idc.tensor(d.coaction.map.with_shapes((na,), (na, nh)))
+                    .regroup((1, 0, 2), (3, 4))))
     return Entwining(d.a, d.c, psi.with_shapes((nc, na), (na, nc)))
 
 
@@ -245,18 +244,18 @@ def twisted_mult(e: Entwining) -> LinMap:
     """C (x) A (x) A -> A (x) C, c (x) b (x) a |-> b_psi a (x) c^psi."""
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    return (e.a.mult_map().tensor(LinMap.identity(f, (nc,)))
-            .compose(LinMap.identity(f, (na,)).tensor(swap_map(f, nc, na)))
-            .compose(e.psi.tensor(LinMap.identity(f, (na,)))))
+    # psi (x) id_A followed by id_A (x) swap: its codomain legs reordered
+    psi_a = e.psi.tensor(LinMap.identity(f, (na,))).regroup((0, 2, 1), (3, 4, 5))
+    return e.a.mult_map().tensor(LinMap.identity(f, (nc,))).compose(psi_a)
 
 
 def twisted_comult(e: Entwining) -> LinMap:
     """C (x) A -> A (x) C (x) C, c (x) a |-> a_psi (x) c1^psi (x) c2."""
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    return (e.psi.tensor(LinMap.identity(f, (nc,)))
-            .compose(LinMap.identity(f, (nc,)).tensor(swap_map(f, nc, na)))
-            .compose(e.c.comult_map().tensor(LinMap.identity(f, (na,)))))
+    # Delta (x) id_A followed by id_C (x) swap: its codomain legs reordered
+    comult_a = e.c.comult_map().tensor(LinMap.identity(f, (na,))).regroup((0, 2, 1), (3, 4))
+    return e.psi.tensor(LinMap.identity(f, (nc,))).compose(comult_a)
 
 
 @_standard_object

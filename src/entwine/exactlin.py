@@ -11,8 +11,9 @@ The leg layout lives here only.  A map built from structure maps by
 needs by `LinMap.regroup(cod, dom)`, which renumbers its legs (codomain
 first, then domain) into a new codomain and domain and moves entries
 without arithmetic; a leg that crosses sides is read in the coordinate dual
-basis.  `swap_map`, `LinMap.transpose` and `LinMap.from_images` are
-regroupings too.
+basis.  A swap next to another factor is a regroup of that factor, with
+no dense swap to compose through.  `swap_map`, `LinMap.transpose` and
+`LinMap.from_images` are regroupings too.
 
 Linear algebra runs on a plain-number kernel: compose and elimination work
 on ints mod p over F_p and on Fractions over Q, with no FpElement inside
@@ -39,7 +40,6 @@ returning; a failed substitution is an internal error, never a verdict.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -277,6 +277,8 @@ def field_from_dict(d) -> Field:
     if sorted(d) != keys:
         raise ParseError("a field of kind %s takes exactly the keys %s, not %s"
                          % (kind, ", ".join(keys), ", ".join(sorted(d))))
+    if kind == "Fp" and type(d["p"]) is not int:
+        raise ParseError("the modulus p must be an integer, not %r" % (d["p"],))
     return QQ if kind == "Q" else Field("Fp", d["p"])
 
 
@@ -576,11 +578,10 @@ class LinMap:
             raise ShapeError("regroup: %r, %r is not an order of the %d legs"
                              % (cod, dom, len(shape)))
         flat = list(itertools.chain.from_iterable(self.mat))
-        entries = list(map(flat.__getitem__, _regroup_offsets(shape, cod + dom)))
-        new_dom, new_cod = tuple(shape[i] for i in dom), tuple(shape[i] for i in cod)
-        n = prod(new_dom)
-        return LinMap(self.field, new_dom, new_cod,
-                      tuple(tuple(entries[r * n:(r + 1) * n]) for r in range(prod(new_cod))))
+        cols = _regroup_offsets(shape, dom)
+        return LinMap(self.field, tuple(shape[i] for i in dom), tuple(shape[i] for i in cod),
+                      tuple(tuple([flat[r + c] for c in cols])
+                            for r in _regroup_offsets(shape, cod)))
 
     def rank(self) -> int:
         _, pivots = rref(self.field, [list(r) for r in self.mat])
@@ -601,16 +602,15 @@ class LinMap:
         return LinMap(self.field, self.cod, self.dom, inv)
 
 
-@functools.lru_cache(maxsize=1024)
-def _regroup_offsets(shape: tuple, order: tuple) -> tuple:
+def _regroup_offsets(shape: tuple, order: tuple) -> list:
     """Flat positions, in a row-major tensor with legs of sizes `shape`, of
-    the entries of its regrouping into the legs `order`, in the regrouped
-    row-major order; cached, as the same regroupings recur."""
+    the index choices on the legs `order` with every other leg at 0, in
+    row-major order over `order`; a row's and a column's positions add."""
     offsets = [0]
     for leg in order:
         step = prod(shape[leg + 1:])
         offsets = [o + i * step for o in offsets for i in range(shape[leg])]
-    return tuple(offsets)
+    return offsets
 
 
 def swap_map(field: Field, d1: int, d2: int) -> LinMap:

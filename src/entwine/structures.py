@@ -151,11 +151,8 @@ class AlgebraData:
 
     def tensor(self, other: "AlgebraData") -> "AlgebraData":
         """Componentwise product algebra on the tensor product space."""
-        f = self.field
-        da, db = self.dim, other.dim
-        m = (self.mult_map().tensor(other.mult_map())
-             .compose(LinMap.identity(f, (da,)).tensor(swap_map(f, db, da))
-                      .tensor(LinMap.identity(f, (db,)))))
+        # m_A (x) m_B after id_A (x) swap (x) id_B: its domain legs reordered
+        m = self.mult_map().tensor(other.mult_map()).regroup((0, 1), (2, 4, 3, 5))
         return AlgebraData.from_mult_map(m, kron_vec(self.unit, other.unit))
 
     @staticmethod

@@ -88,7 +88,8 @@ def test_validate_structural_errors(tmp_path, capsys, mangle, needle):
 @pytest.mark.parametrize("field_obj", [
     {"kind": "Q", "p": 5}, {"kind": "Fp", "p": 3, "extra": 1}, {"kind": "Fp"},
     {"kind": "Q", "extra": 1}, {"kind": "F3"}, {"kind": ["Q"]}, {"p": 3}, "Q",
-    {"kind": "Fp", "p": 4},
+    {"kind": "Fp", "p": 4}, {"kind": "Fp", "p": [3]}, {"kind": "Fp", "p": 3.0},
+    {"kind": "Fp", "p": True}, {"kind": "Fp", "p": "3"},
 ])
 def test_validate_field_object_takes_exactly_its_keys(tmp_path, capsys, field_obj):
     p = export(tmp_path, "DN", QQ)
