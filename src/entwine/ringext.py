@@ -12,6 +12,13 @@ Casimir e multiplies to 1, and is Frobenius iff a pair (nu, e) satisfies
 both normalizations i(nu(e1)) e2 = 1 = e1 i(nu(e2)).  The Frobenius question
 is also decided structurally: S finitely generated projective over R plus
 an invertible morphism from S to the twisted right-dual Hom_R(S, R).
+
+Each space is the solution of laws in the structure maps.  The relations of
+S (x)_R S are the columns of one map S (x) R (x) S -> S (x) S,
+s (x) r (x) t |-> s i(r) (x) t - s (x) i(r) t.  A morphism phi into the
+right dual is solved for in coordinates of a basis of Hom_R(S, R), and its
+two bimodule laws are stated on D . phi, where the injective map D sends
+those coordinates to Hom_R(S, R) inside R (x) S*.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .exactlin import (
     SolutionSpace,
     Term,
     basis_vec,
-    kron_vec,
     nullspace,
     rref,
     solve_linear,
@@ -38,8 +44,10 @@ from .homspaces import (
     SearchConfig,
     Verdict,
     decide_frobenius,
+    combine,
     decide_normalized,
     find_invertible_in_span,
+    flat,
 )
 from .structures import (
     AlgebraData,
@@ -102,34 +110,19 @@ class TensorOverR:
 
 def tensor_over_R(ext: RingExtension) -> TensorOverR:
     f = ext.field
-    ns, nr = ext.s.dim, ext.r.dim
+    ns = ext.s.dim
     n2 = ns * ns
-    rel_rows = []
-    for j in range(nr):
-        ij = ext.embedding.column(j)
-        for a in range(ns):
-            left = ext.s.product(basis_vec(f, ns, a), ij)   # s_a i(r_j)
-            for b in range(ns):
-                right = ext.s.product(ij, basis_vec(f, ns, b))  # i(r_j) s_b
-                row = list(kron_vec(left, basis_vec(f, ns, b)))
-                sub = kron_vec(basis_vec(f, ns, a), right)
-                row = [x - y for x, y in zip(row, sub)]
-                if not vec_is_zero(row):
-                    rel_rows.append(row)
-
-    red, pivots = rref(f, rel_rows)
+    ms, ids = ext.s.mult_map(), LinMap.identity(f, (ns,))
+    # s (x) r (x) t |-> s i(r) (x) t - s (x) i(r) t; its columns span the relations
+    rel = (ms.compose(ids.tensor(ext.embedding)).tensor(ids)
+           .sub(ids.tensor(ms.compose(ext.embedding.tensor(ids)))))
+    red, pivots = rref(f, rel.transpose().mat)
     free = [c for c in range(n2) if c not in pivots]
     pivot_at = {c: i for i, c in enumerate(pivots)}
 
-    pi_cols = []
-    for t in range(n2):
-        if t in pivot_at:
-            row = red[pivot_at[t]]
-            col = [-row[c] for c in free]
-        else:
-            col = [f.one if c == t else f.zero for c in free]
-        pi_cols.append(col)
-    pi_mat = tuple(tuple(pi_cols[t][k] for t in range(n2)) for k in range(len(free)))
+    # row c of pi reads off the coordinate of the free column c
+    pi_mat = tuple(tuple(-red[pivot_at[t]][c] if t in pivot_at else f.one if t == c else f.zero
+                         for t in range(n2)) for c in free)
     pi = LinMap(f, (ns, ns), (len(free),), pi_mat)
     sigma = LinMap.from_images(f, (len(free),), (ns, ns),
                                [basis_vec(f, n2, c) for c in free])
@@ -309,70 +302,22 @@ def fg_projective_coords(ext: RingExtension, dspace: list[LinMap]):
     nd = len(dspace)
     if nd == 0:
         return None
-    # prod_table[i][j] = s_i i(r_j) as a vector in S
-    prod_table = [[ext.s.product(basis_vec(f, ns, i), ext.embedding.column(j))
-                   for j in range(ext.r.dim)] for i in range(ns)]
-    rows = [[f.zero] * (ns * nd) for _ in range(ns * ns)]
-    rhs = []
-    for b in range(ns):
-        for t in range(ns):
-            row = rows[b * ns + t]
-            for i in range(ns):
-                for k, d in enumerate(dspace):
-                    acc = f.zero
-                    for j in range(ext.r.dim):
-                        dv = d.mat[j][b]
-                        if dv:
-                            acc = acc + dv * prod_table[i][j][t]
-                    row[i * nd + k] = acc
-            rhs.append(f.one if t == b else f.zero)
-    part, _ = solve_linear(f, rows, rhs)
+    prod = ext.s.mult_map().compose(LinMap.identity(f, (ns,)).tensor(ext.embedding))
+    # d_k(s_b) for every k, with legs (k, r | b)
+    dual = LinMap(f, (ns,), (nd, ext.r.dim), tuple(row for d in dspace for row in d.mat))
+    # rows (s_b, coordinate t of the sum), unknowns (i, k): sum_j d_k(s_b)_j (s_i i(r_j))_t
+    system = prod.regroup((0, 1), (2,)).compose(dual.regroup((1,), (0, 2))).regroup((3, 0), (1, 2))
+    part, _ = solve_linear(f, system.mat, flat(LinMap.identity(f, (ns,))))
     if part is None:
         return None
-    return [tuple(part[i * nd + k] for k in range(nd)) for i in range(ns)]
+    return [part[i * nd:(i + 1) * nd] for i in range(ns)]
 
 
-def _dual_coords(ext: RingExtension, dspace: list[LinMap]):
-    """Coordinate solver for the right dual: LinMap S -> R to dspace coordinates."""
-    f = ext.field
-    ns, nr = ext.s.dim, ext.r.dim
-    nd = len(dspace)
-    cols = [[v for row in d.mat for v in row] for d in dspace]
-    sys_rows = [[cols[k][i] for k in range(nd)] for i in range(nr * ns)]
-
-    def coords(dm: LinMap) -> list:
-        flat = [v for row in dm.mat for v in row]
-        part, _ = solve_linear(f, sys_rows, flat)
-        if part is None:
-            raise InternalCheckError("map lies outside the right dual span")
-        return list(part)
-
-    return coords
-
-
-def _dual_action_matrices(ext: RingExtension, dspace: list[LinMap]):
-    """Matrices of the bimodule actions on the right dual, in dual coordinates.
-
-    The right dual carries left R and right S actions
-    (r . f . s)(t) = r f(s t); S itself carries i-restricted left
-    multiplication and right multiplication.
-    """
-    f = ext.field
-    ns, nr = ext.s.dim, ext.r.dim
-    nd = len(dspace)
-    coords = _dual_coords(ext, dspace)
-
-    right_s = []
-    for a in range(ns):
-        sa = basis_vec(f, ns, a)
-        imgs = [coords(d.compose(ext.s.lmult(sa))) for d in dspace]
-        right_s.append(LinMap.from_images(f, (nd,), (nd,), imgs))
-    left_r = []
-    for j in range(nr):
-        rj = basis_vec(f, nr, j)
-        imgs = [coords(ext.r.lmult(rj).compose(d)) for d in dspace]
-        left_r.append(LinMap.from_images(f, (nd,), (nd,), imgs))
-    return right_s, left_r
+def _dual_map(ext: RingExtension, dspace: list[LinMap]) -> LinMap:
+    """D: k^{nd} -> Hom(S, R), the injective map whose columns are the dual
+    basis, with Hom(S, R) as R (x) S*."""
+    return LinMap.from_images(ext.field, (len(dspace),), (ext.r.dim, ext.s.dim),
+                              [flat(d) for d in dspace])
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +329,22 @@ def nu_to_phibar(ext: RingExtension, dspace: list[LinMap], nu: LinMap) -> LinMap
     The image is right S-linear and left R-linear for the actions
     (r . f . s)(t) = r f(s t) whenever nu is an R-bimodule map.
     """
-    f = ext.field
     ns = ext.s.dim
-    n = nu.with_shapes((ns,), (ext.r.dim,))
-    coords = _dual_coords(ext, dspace)
-    imgs = [coords(n.compose(ext.s.lmult(basis_vec(f, ns, b))))
-            for b in range(ns)]
-    return LinMap.from_images(f, (ns,), (len(dspace),), imgs)
+    d = _dual_map(ext, dspace).mat
+    # row b: t |-> nu(s_b t) in R (x) S*
+    rows = nu.with_shapes((ns,), (ext.r.dim,)).compose(ext.s.mult_map()).regroup((1,), (0, 2)).mat
+    imgs = []
+    for row in rows:
+        part, _ = solve_linear(ext.field, d, row)
+        if part is None:
+            raise InternalCheckError("map lies outside the right dual span")
+        imgs.append(part)
+    return LinMap.from_images(ext.field, (ns,), (len(dspace),), imgs)
 
 
 def phibar_to_nu(ext: RingExtension, dspace: list[LinMap], phibar: LinMap) -> LinMap:
     """Evaluate a morphism S -> Hom_R(S,R) at the unit of S."""
-    f = ext.field
-    qc = phibar.with_shapes((ext.s.dim,), (len(dspace),)).apply(ext.s.unit)
-    nu = LinMap.zero_map(f, (ext.s.dim,), (ext.r.dim,))
-    for k, d in enumerate(dspace):
-        if qc[k]:
-            nu = nu.add(d.scale(qc[k]))
-    return nu
+    return combine(ext.field, dspace, phibar.apply(ext.s.unit))
 
 
 def e_to_phi(ext: RingExtension, t: TensorOverR, dspace: list[LinMap],
@@ -409,21 +352,9 @@ def e_to_phi(ext: RingExtension, t: TensorOverR, dspace: list[LinMap],
     """Send a Casimir element to f |-> i(f(e1)) e2, in right-dual coordinates."""
     f = ext.field
     ns = ext.s.dim
-    lift = t.sigma.apply(evec)
-    imgs = []
-    for d in dspace:
-        out = [f.zero] * ns
-        for a in range(ns):
-            ia = ext.embed(d.column(a))
-            if vec_is_zero(ia):
-                continue
-            for b in range(ns):
-                w = lift[a * ns + b]
-                if w:
-                    term = ext.s.product(ia, basis_vec(f, ns, b))
-                    out = [x + w * y for x, y in zip(out, term)]
-        imgs.append(out)
-    return LinMap.from_images(f, (len(dspace),), (ns,), imgs)
+    # e as the map s_a* |-> sum_b e_ab s_b
+    e = LinMap.const(f, t.sigma.apply(evec), (ns, ns)).regroup((1,), (0, 2))
+    return ext.s.mult_map().compose(ext.embedding.tensor(e)).compose(_dual_map(ext, dspace))
 
 
 def phi_to_e(ext: RingExtension, t: TensorOverR, sigmas, phi: LinMap):
@@ -431,27 +362,28 @@ def phi_to_e(ext: RingExtension, t: TensorOverR, sigmas, phi: LinMap):
 
     sigmas are finite-projectivity coordinates from fg_projective_coords.
     """
-    f = ext.field
-    ns = ext.s.dim
-    p = phi.with_shapes((len(sigmas[0]),), (ns,)) if sigmas else phi
-    e_full = [f.zero] * (ns * ns)
-    for i, sig in enumerate(sigmas):
-        part = kron_vec(basis_vec(f, ns, i), p.apply(sig))
-        e_full = [x + y for x, y in zip(e_full, part)]
-    return tuple(t.pi.apply(e_full))
+    return tuple(t.pi.apply([x for sig in sigmas for x in phi.apply(sig)]))
 
 
 def dual_morphism_space(ext: RingExtension, dspace: list[LinMap]) -> list[LinMap]:
     """Basis of the bimodule maps phi: S -> Hom_R(S, R), in dual coordinates:
-    phi(s a) = phi(s) . a and phi(i(r) s) = r . phi(s)."""
+    phi(s a) = phi(s) . a and phi(i(r) s) = r . phi(s).
+
+    Both laws are stated on D . phi, which has the same solutions because D
+    is injective, with the actions (f . a)(t) = f(a t) and (r . f)(t) = r f(t)
+    on Hom(S, R) = R (x) S*.
+    """
     f = ext.field
-    ns = ext.s.dim
-    right_s, left_r = _dual_action_matrices(ext, dspace)
+    ns, nr = ext.s.dim, ext.r.dim
+    ms, mr = ext.s.mult_map(), ext.r.mult_map()
+    ids, idr = LinMap.identity(f, (ns,)), LinMap.identity(f, (nr,))
+    d = _dual_map(ext, dspace)
+    right_s = idr.tensor(ms.regroup((2,), (0, 1))).compose(d.tensor(ids))
+    left_r = mr.tensor(ids).compose(idr.tensor(d))
     laws = LinearLaws(f, ns, len(dspace))
-    for a in range(ns):
-        laws.add(Term(right=ext.s.rmult(basis_vec(f, ns, a))), Term(-1, left=right_s[a]))
-    for j in range(ext.r.dim):
-        laws.add(Term(right=ext.s.lmult(ext.embedding.column(j))), Term(-1, left=left_r[j]))
+    laws.add(Term(left=d, right=ms), Term(-1, left=right_s, after=ns))
+    laws.add(Term(left=d, right=ms.compose(ext.embedding.tensor(ids))),
+             Term(-1, left=left_r, before=nr))
     return laws.maps((ns,), (len(dspace),))
 
 

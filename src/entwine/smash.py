@@ -5,8 +5,12 @@ map R: A (x) B -> B (x) A; the four axioms are exactly associativity and
 unitality of the twisted multiplication (b # a)(d # c) = b d_R # a_R c.
 The smash product contains A along a |-> 1 # a, and splitting,
 separability, and Frobenius questions for that extension reduce to the
-kappa/Casimir spaces V3 and W3.  Questions over B are answered through
-the opposite factorization, never by re-deriving left-handed formulas.
+kappa/Casimir spaces V3 and W3.  W3 is cut out by two laws in its element
+e of B (x) B (x) A, b e = e b for b in B and for b in A, each one map
+B -> B (x) B (x) A, resp. A -> B (x) B (x) A, with the small factors
+composed first and the identity factors tensored on last.  Questions over
+B are answered through the opposite factorization, never by re-deriving
+left-handed formulas.
 
 A factorization with B the opposite dual of a coalgebra C is the same
 data as an entwining of (A, C); the dictionary in both directions lives
@@ -214,37 +218,6 @@ def compute_V3(fact: Factorization) -> SolutionSpace:
     return SolutionSpace(laws.maps((nb,), (na,)), lambda k: kappa_residual(fact, k))
 
 
-def _w3_ops(fact: Factorization) -> list[tuple[str, LinMap]]:
-    """Per-basis centrality laws for elements of B (x) B (x) A."""
-    f = fact.field
-    nb, na = fact.b.dim, fact.a.dim
-    ida = LinMap.identity(f, (na,))
-    idb = LinMap.identity(f, (nb,))
-    mb, ma = fact.b.mult_map(), fact.a.mult_map()
-    laws = []
-    for bi in range(nb):
-        bv = basis_vec(f, nb, bi)
-        # b e1 (x) e2 (x) e3 = e1 (x) e2 b_R (x) e3_R
-        lhs = fact.b.lmult(bv).tensor(idb).tensor(ida)
-        inner = fact.rmap.compose(
-            ida.tensor(LinMap.const(f, bv, (nb,))).with_shapes((na,), (na, nb)))
-        rhs = (idb.tensor(mb).tensor(ida)
-               .compose(idb.tensor(idb).tensor(inner)))
-        laws.append(("casimir-B", lhs.sub(rhs.with_shapes(lhs.dom, lhs.cod))))
-    for ai in range(na):
-        av = basis_vec(f, na, ai)
-        # e1_R (x) e2_r (x) a_Rr e3 = e1 (x) e2 (x) e3 a
-        lhs = (idb.tensor(idb).tensor(ma)
-               .compose(idb.tensor(fact.rmap).tensor(ida))
-               .compose(fact.rmap.tensor(idb).tensor(ida))
-               .compose(LinMap.const(f, av, (na,))
-                        .tensor(LinMap.identity(f, (nb, nb, na)))
-                        .with_shapes((nb, nb, na), (na, nb, nb, na))))
-        rhs = idb.tensor(idb).tensor(fact.a.rmult(av))
-        laws.append(("casimir-A", lhs.sub(rhs.with_shapes(lhs.dom, lhs.cod))))
-    return laws
-
-
 def w3_residual(fact: Factorization, vec) -> list[str]:
     """Whether b e = e b for every basis element b of B and of A, for one e
     in B (x) B (x) A; evaluated on e from the structure constants of B, A
@@ -290,9 +263,18 @@ def w3_residual(fact: Factorization, vec) -> list[str]:
 
 def compute_W3(fact: Factorization) -> SolutionSpace:
     """Basis of the Casimir space inside B (x) B (x) A."""
-    laws = LinearLaws(fact.field, 1, fact.b.dim * fact.b.dim * fact.a.dim)
-    for _, op in _w3_ops(fact):
-        laws.add(Term(left=op))
+    f = fact.field
+    nb, na = fact.b.dim, fact.a.dim
+    ida, idb = LinMap.identity(f, (na,)), LinMap.identity(f, (nb,))
+    mb, ma = fact.b.mult_map(), fact.a.mult_map()
+    laws = LinearLaws(f, 1, nb * nb * na)
+    # b e1 (x) e2 (x) e3 = e1 (x) e2 b_R (x) e3_R
+    laws.add(Term(left=mb.tensor(LinMap.identity(f, (nb, na))), before=nb),
+             Term(-1, left=idb.tensor(mb.tensor(ida).compose(idb.tensor(fact.rmap))), after=nb))
+    # e1_R (x) e2_r (x) a_Rr e3 = e1 (x) e2 (x) e3 a
+    twist = idb.tensor(idb.tensor(ma).compose(fact.rmap.tensor(ida)))
+    laws.add(Term(left=twist.compose(fact.rmap.tensor(LinMap.identity(f, (nb, na)))), before=na),
+             Term(-1, left=LinMap.identity(f, (nb, nb)).tensor(ma), after=na))
     return SolutionSpace(laws.kernel(), lambda v: w3_residual(fact, v))
 
 

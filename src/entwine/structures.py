@@ -19,7 +19,6 @@ from .exactlin import (
     basis_vec,
     iter_multi,
     kron_vec,
-    swap_map,
     unflatten_index,
 )
 
@@ -280,14 +279,9 @@ def check_bialgebra(b: BialgebraData, subject: str = "bialgebra") -> ValidationR
     f = b.field
     m, u = b.algebra.mult_map(), b.algebra.unit_map()
     delta, eps = b.coalgebra.comult_map(), b.coalgebra.counit_map()
-    idn = LinMap.identity(f, (n,))
-    tau = swap_map(f, n, n)
-    # Delta(xy) = Delta(x)Delta(y)
-    lhs = delta.compose(m)
-    rhs = (m.tensor(m)
-           .compose(idn.tensor(tau).tensor(idn))
-           .compose(delta.tensor(delta)))
-    rep.add_law("comult-multiplicative", lhs, rhs.with_shapes((n, n), (n, n)))
+    # Delta(xy) = Delta(x)Delta(y), with m (x) m reading x1 (x) y1 (x) x2 (x) y2
+    rhs = m.tensor(m).regroup((0, 1), (2, 4, 3, 5)).compose(delta.tensor(delta))
+    rep.add_law("comult-multiplicative", delta.compose(m), rhs)
     rep.add_law("comult-unital", delta.compose(u), u.tensor(u).with_shapes((1,), (n, n)))
     rep.add_law("counit-multiplicative", eps.compose(m),
                 eps.tensor(eps).with_shapes((n, n), (1,)))
@@ -375,18 +369,13 @@ def check_comodule_algebra(h: BialgebraData, a: AlgebraData, rho: CoactionData,
     if rho.side != "right":
         raise ParseError("comodule-algebra coaction must be right-sided")
     rep.merge(check_coaction(h.coalgebra, rho, subject + ".coaction"))
-    f = a.field
     n, dh = a.dim, h.dim
     t = rho.map.with_shapes((n,), (n, dh))
     m = a.mult_map()
-    tau = swap_map(f, dh, n)
-    idn = LinMap.identity(f, (n,))
-    idh = LinMap.identity(f, (dh,))
     lhs = t.compose(m)
-    rhs = (m.tensor(h.algebra.mult_map())
-           .compose(idn.tensor(tau).tensor(idh))
-           .compose(t.tensor(t)))
-    rep.add_law("coaction-multiplicative", lhs, rhs.with_shapes((n, n), (n, dh)))
+    # (a1 a2) (x) (h1 h2) from a1 (x) h1 (x) a2 (x) h2
+    rhs = m.tensor(h.algebra.mult_map()).regroup((0, 1), (2, 4, 3, 5)).compose(t.tensor(t))
+    rep.add_law("coaction-multiplicative", lhs, rhs)
     rep.add_law("coaction-unital", t.compose(a.unit_map()),
                 a.unit_map().tensor(h.algebra.unit_map()).with_shapes((1,), (n, dh)))
     return rep
@@ -399,18 +388,14 @@ def check_module_coalgebra(h: BialgebraData, c: CoalgebraData, act: ActionData,
     if act.side != "right":
         raise ParseError("module-coalgebra action must be right-sided")
     rep.merge(check_action(h.algebra, act, subject + ".action"))
-    f = c.field
     n, dh = c.dim, h.dim
     t = act.map.with_shapes((n, dh), (n,))
     delta = c.comult_map()
-    tau = swap_map(f, n, dh)
-    idn = LinMap.identity(f, (n,))
-    idh = LinMap.identity(f, (dh,))
     lhs = delta.compose(t)
-    rhs = (t.tensor(t)
-           .compose(idn.tensor(tau).tensor(idh))
-           .compose(delta.tensor(h.coalgebra.comult_map())))
-    rep.add_law("action-comultiplicative", lhs, rhs.with_shapes((n, dh), (n, n)))
+    # t(c1 (x) h1) (x) t(c2 (x) h2) from c1 (x) c2 (x) h1 (x) h2
+    rhs = t.tensor(t).regroup((0, 1), (2, 4, 3, 5)).compose(
+        delta.tensor(h.coalgebra.comult_map()))
+    rep.add_law("action-comultiplicative", lhs, rhs)
     eps_c, eps_h = c.counit_map(), h.coalgebra.counit_map()
     lhs2 = eps_c.compose(t)
     rhs2 = eps_c.tensor(eps_h).with_shapes((n, dh), (1,))

@@ -9,11 +9,26 @@ exact nullspace.  The package builds the same spaces by contraction
 (`exactlin.LinearLaws`); both take the basis read off the reduced row
 echelon form with the unknowns in the same order, so the two bases must be
 equal, not just span the same space.
+
+The per-basis operators and hand-indexed loops the package once used are
+kept here as references too: the W3 operators, the matrices of the dual
+actions solved for coordinate by coordinate, and the loops that built the
+relations of S (x)_R S and the projectivity system.
 """
 
 from entwine import actforget, coforget, homspaces, ringext, smash
 from entwine.entwining import std_object_AC
-from entwine.exactlin import LinMap, basis_vec, hom_probe_matrix, kron_vec, nullspace, prod
+from entwine.exactlin import (
+    LinMap,
+    basis_vec,
+    hom_probe_matrix,
+    kron_vec,
+    nullspace,
+    prod,
+    rref,
+    solve_linear,
+    vec_is_zero,
+)
 
 
 def probe_maps(field, dom, cod, law_values):
@@ -85,9 +100,41 @@ def compute_V3(fact):
                       lambda k: [smash._kappa_laws(fact, k)])
 
 
+def w3_ops(fact):
+    """Per basis element of B and of A, the centrality law b e - e b on
+    B (x) B (x) A as one operator, labelled casimir-B or casimir-A."""
+    f = fact.field
+    nb, na = fact.b.dim, fact.a.dim
+    ida = LinMap.identity(f, (na,))
+    idb = LinMap.identity(f, (nb,))
+    mb, ma = fact.b.mult_map(), fact.a.mult_map()
+    laws = []
+    for bi in range(nb):
+        bv = basis_vec(f, nb, bi)
+        # b e1 (x) e2 (x) e3 = e1 (x) e2 b_R (x) e3_R
+        lhs = fact.b.lmult(bv).tensor(idb).tensor(ida)
+        inner = fact.rmap.compose(
+            ida.tensor(LinMap.const(f, bv, (nb,))).with_shapes((na,), (na, nb)))
+        rhs = (idb.tensor(mb).tensor(ida)
+               .compose(idb.tensor(idb).tensor(inner)))
+        laws.append(("casimir-B", lhs.sub(rhs.with_shapes(lhs.dom, lhs.cod))))
+    for ai in range(na):
+        av = basis_vec(f, na, ai)
+        # e1_R (x) e2_r (x) a_Rr e3 = e1 (x) e2 (x) e3 a
+        lhs = (idb.tensor(idb).tensor(ma)
+               .compose(idb.tensor(fact.rmap).tensor(ida))
+               .compose(fact.rmap.tensor(idb).tensor(ida))
+               .compose(LinMap.const(f, av, (na,))
+                        .tensor(LinMap.identity(f, (nb, nb, na)))
+                        .with_shapes((nb, nb, na), (na, nb, nb, na))))
+        rhs = idb.tensor(idb).tensor(fact.a.rmult(av))
+        laws.append(("casimir-A", lhs.sub(rhs.with_shapes(lhs.dom, lhs.cod))))
+    return laws
+
+
 def compute_W3(fact):
     dim = fact.b.dim * fact.b.dim * fact.a.dim
-    return probe_vectors(fact.field, dim, [op for _, op in smash._w3_ops(fact)])
+    return probe_vectors(fact.field, dim, [op for _, op in w3_ops(fact)])
 
 
 def compute_casimir(t):
@@ -117,10 +164,105 @@ def right_dual_space(ext):
                       lambda d: _r_linear_values(ext, d, left=False))
 
 
+def tensor_over_R(ext):
+    """(pi, sigma, relations) of S (x)_R S, the relations collected one
+    basis triple (r_j, s_a, s_b) at a time."""
+    f = ext.field
+    ns, nr = ext.s.dim, ext.r.dim
+    n2 = ns * ns
+    rel_rows = []
+    for j in range(nr):
+        ij = ext.embedding.column(j)
+        for a in range(ns):
+            left = ext.s.product(basis_vec(f, ns, a), ij)   # s_a i(r_j)
+            for b in range(ns):
+                right = ext.s.product(ij, basis_vec(f, ns, b))  # i(r_j) s_b
+                row = list(kron_vec(left, basis_vec(f, ns, b)))
+                sub = kron_vec(basis_vec(f, ns, a), right)
+                row = [x - y for x, y in zip(row, sub)]
+                if not vec_is_zero(row):
+                    rel_rows.append(row)
+
+    red, pivots = rref(f, rel_rows)
+    free = [c for c in range(n2) if c not in pivots]
+    pivot_at = {c: i for i, c in enumerate(pivots)}
+    pi_cols = []
+    for t in range(n2):
+        if t in pivot_at:
+            row = red[pivot_at[t]]
+            col = [-row[c] for c in free]
+        else:
+            col = [f.one if c == t else f.zero for c in free]
+        pi_cols.append(col)
+    pi_mat = tuple(tuple(pi_cols[t][k] for t in range(n2)) for k in range(len(free)))
+    pi = LinMap(f, (ns, ns), (len(free),), pi_mat)
+    sigma = LinMap.from_images(f, (len(free),), (ns, ns),
+                               [basis_vec(f, n2, c) for c in free])
+    return pi, sigma, tuple(tuple(r) for r in red)
+
+
+def fg_projective_coords(ext, dspace):
+    """The projectivity system sum_i s_i i(sigma_i(s)) = s, one entry at a
+    time from a table of the products s_i i(r_j)."""
+    f = ext.field
+    ns = ext.s.dim
+    nd = len(dspace)
+    if nd == 0:
+        return None
+    # prod_table[i][j] = s_i i(r_j) as a vector in S
+    prod_table = [[ext.s.product(basis_vec(f, ns, i), ext.embedding.column(j))
+                   for j in range(ext.r.dim)] for i in range(ns)]
+    rows = [[f.zero] * (ns * nd) for _ in range(ns * ns)]
+    rhs = []
+    for b in range(ns):
+        for t in range(ns):
+            row = rows[b * ns + t]
+            for i in range(ns):
+                for k, d in enumerate(dspace):
+                    acc = f.zero
+                    for j in range(ext.r.dim):
+                        dv = d.mat[j][b]
+                        if dv:
+                            acc = acc + dv * prod_table[i][j][t]
+                    row[i * nd + k] = acc
+            rhs.append(f.one if t == b else f.zero)
+    part, _ = solve_linear(f, rows, rhs)
+    if part is None:
+        return None
+    return [tuple(part[i * nd + k] for k in range(nd)) for i in range(ns)]
+
+
+def dual_action_matrices(ext, dspace):
+    """Matrices of the bimodule actions on the right dual, in dual coordinates.
+
+    The right dual carries left R and right S actions
+    (r . f . s)(t) = r f(s t).  Each image is put in dual coordinates by its
+    own exact solve against the stacked dual basis.
+    """
+    f = ext.field
+    ns, nr = ext.s.dim, ext.r.dim
+    nd = len(dspace)
+    cols = [[v for row in d.mat for v in row] for d in dspace]
+    sys_rows = [[cols[k][i] for k in range(nd)] for i in range(nr * ns)]
+
+    def coords(dm):
+        part, _ = solve_linear(f, sys_rows, [v for row in dm.mat for v in row])
+        assert part is not None, "map lies outside the right dual span"
+        return list(part)
+
+    right_s = [LinMap.from_images(f, (nd,), (nd,), [
+        coords(d.compose(ext.s.lmult(basis_vec(f, ns, a)))) for d in dspace])
+        for a in range(ns)]
+    left_r = [LinMap.from_images(f, (nd,), (nd,), [
+        coords(ext.r.lmult(basis_vec(f, nr, j)).compose(d)) for d in dspace])
+        for j in range(nr)]
+    return right_s, left_r
+
+
 def dual_morphism_space(ext, dspace):
     f = ext.field
     ns = ext.s.dim
-    right_s, left_r = ringext._dual_action_matrices(ext, dspace)
+    right_s, left_r = dual_action_matrices(ext, dspace)
 
     def values(phi):
         out = [phi.compose(ext.s.rmult(basis_vec(f, ns, a))).sub(right_s[a].compose(phi))

@@ -7,6 +7,9 @@ invertible: the field is Q or F_p with p odd.
 """
 
 from entwine.entwining import Entwining, check_entwining
+from entwine.exactlin import LinMap
+from entwine.ringext import RingExtension, check_extension
+from entwine.smash import Factorization, check_factorization
 from entwine.structures import AlgebraData, CoalgebraData
 
 
@@ -43,4 +46,29 @@ def rescaled_entwining(e):
             for a in range(na)] for c in range(nc)]
     out = Entwining.make(scaled_algebra(e.a, s), scaled_coalgebra(e.c, t), psi)
     assert check_entwining(out).ok
+    return out
+
+
+def rescaled_extension(ext):
+    """The same extension in the bases e_0, 2 e_1, 2 e_2, ... of R and of S."""
+    nr, ns = ext.r.dim, ext.s.dim
+    s, t = scales(ext.field, nr), scales(ext.field, ns)
+    # i(e'_j) = sum s_j i_aj / t_a e'_a
+    emb = [[ext.embedding.mat[a][j] * s[j] / t[a] for j in range(nr)] for a in range(ns)]
+    out = RingExtension(scaled_algebra(ext.r, s), scaled_algebra(ext.s, t),
+                        LinMap.from_rows(ext.field, (nr,), (ns,), emb))
+    assert check_extension(out).ok
+    return out
+
+
+def rescaled_factorization(fact):
+    """The same factorization in the bases e_0, 2 e_1, 2 e_2, ... of B and of A."""
+    nb, na = fact.b.dim, fact.a.dim
+    s, t = scales(fact.field, nb), scales(fact.field, na)
+    # R(e'_a (x) e'_b) = sum R t_a s_b / (s_b2 t_a2) e'_b2 (x) e'_a2
+    r = [[[[fact.r_entry(b2, a2, a, b) * t[a] * s[b] / (s[b2] * t[a2])
+            for a2 in range(na)] for b2 in range(nb)]
+          for b in range(nb)] for a in range(na)]
+    out = Factorization.make(scaled_algebra(fact.b, s), scaled_algebra(fact.a, t), r)
+    assert check_factorization(out).ok
     return out

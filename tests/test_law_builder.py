@@ -3,8 +3,9 @@
 Every solution space the package assembles with `LinearLaws` must come out
 equal (==, basis element by basis element) to the one built by probing each
 matrix unit in `_probe_reference`, over every corpus entwining,
-factorization and extension over Q, F2 and F3 and a few random Doi-Hopf
-entwinings.
+factorization and extension over Q, F2 and F3, a few random Doi-Hopf
+entwinings, and the extensions A -> B # A of the corpus factorizations,
+also in rescaled bases.
 """
 
 import random
@@ -12,7 +13,7 @@ import random
 import pytest
 
 import _probe_reference as ref
-from _rescaled import rescaled_entwining
+from _rescaled import rescaled_entwining, rescaled_extension, rescaled_factorization
 from entwine import actforget, coforget, homspaces, ringext, smash
 from entwine.actforget import FROBENIUS_PRIME_CS
 from entwine.coforget import FROBENIUS_CS
@@ -89,13 +90,36 @@ def test_factorization_spaces_match_probing(fact):
     assert smash.compute_W3(fact).basis == ref.compute_W3(fact)
 
 
-@pytest.mark.parametrize("ext", _corpus(corpus_extensions))
+# The corpus extensions have R = k or R = S; the extensions A -> B # A have
+# a base in between, and the rescaled bases bring in constants other than
+# 0 and 1.
+def _extensions():
+    out = _corpus(corpus_extensions)
+    for tag, field in FIELDS:
+        for name, fact in corpus_factorizations(field):
+            out.append(pytest.param(smash.unit_embedding_A(fact), id="%s-%s-unit" % (tag, name)))
+        if field.char == 2:
+            continue
+        for name, ext in corpus_extensions(field):
+            out.append(pytest.param(rescaled_extension(ext), id="%s-%s-rescaled" % (tag, name)))
+        for name, fact in corpus_factorizations(field):
+            out.append(pytest.param(smash.unit_embedding_A(rescaled_factorization(fact)),
+                                    id="%s-%s-unit-rescaled" % (tag, name)))
+    return out
+
+
+EXTENSIONS = _extensions()
+
+
+@pytest.mark.parametrize("ext", EXTENSIONS)
 def test_extension_spaces_match_probing(ext):
     t = ringext.tensor_over_R(ext)
+    assert (t.pi, t.sigma, t.relations) == ref.tensor_over_R(ext)
     assert ringext.compute_expectations(ext).basis == ref.compute_expectations(ext)
     assert ringext.compute_casimir(t).basis == ref.compute_casimir(t)
     dspace = ringext.right_dual_space(ext)
     assert dspace == ref.right_dual_space(ext)
+    assert ringext.fg_projective_coords(ext, dspace) == ref.fg_projective_coords(ext, dspace)
     assert (ringext.dual_morphism_space(ext, dspace)
             == ref.dual_morphism_space(ext, dspace))
 
@@ -182,7 +206,7 @@ def test_w3_residual_is_the_w3_operators(fact):
     seeded random vectors."""
     f, rng = fact.field, random.Random(0)
     n = fact.b.dim * fact.b.dim * fact.a.dim
-    ops = smash._w3_ops(fact)
+    ops = ref.w3_ops(fact)
     vectors = list(smash.compute_W3(fact).basis) + _samples(f, n, rng)
     for kind in ("casimir-B", "casimir-A"):
         laws = LinearLaws(f, 1, n)

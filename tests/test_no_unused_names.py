@@ -1,9 +1,13 @@
-"""No dead names in the package: every import is used and every local
-variable a function assigns is read somewhere in that function.
+"""No dead names in the package: every import is used, every local
+variable a function assigns is read somewhere in that function, and every
+private top-level helper is read somewhere in the package.
 
 A static scan of `src/entwine/*.py` with `ast`, standing in for a linter.
-Names that start with "_" are exempt, as is `__init__.py`, whose imports
-are the package's public re-exports.
+For imports and locals, names that start with "_" are exempt, as is
+`__init__.py`, whose imports are the package's public re-exports.  A
+private helper (a top-level function or class named `_x`) is the opposite
+case: it has no caller outside the package, so one that nothing in the
+package reads is left behind by a rewrite or kept only for the tests.
 """
 
 import ast
@@ -95,6 +99,24 @@ def unread_locals(tree) -> list:
     return out
 
 
+def orphaned_helpers(trees: dict) -> list:
+    """The top-level functions and classes named `_x` in {module name: tree}
+    that no other top-level statement of any module reads, by name or as an
+    attribute."""
+    stmts = [(mod, node) for mod, tree in sorted(trees.items()) for node in tree.body]
+    reads = {id(node): _loads(node) | {n.attr for n in ast.walk(node)
+                                       if isinstance(n, ast.Attribute)}
+             for _, node in stmts}
+    out = []
+    for mod, node in stmts:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and not any(node.name in reads[id(other)]
+                            for _, other in stmts if other is not node)):
+            out.append("%s: %s" % (mod, node.name))
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -103,6 +125,30 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_locals(path):
     assert unread_locals(ast.parse(path.read_text())) == []
+
+
+def test_no_orphaned_private_helpers():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    assert orphaned_helpers(trees) == []
+
+
+def test_the_scan_finds_orphaned_helpers():
+    trees = {
+        "a.py": ast.parse(
+            "def _called(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Unused: pass\n"
+            "def _via_attribute(): pass\n"
+            "def _imported_only(): pass\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _called()\n"),
+        "b.py": ast.parse(
+            "from . import a\n"
+            "from .a import _imported_only\n"
+            "X = a._via_attribute\n"),
+    }
+    assert orphaned_helpers(trees) == ["a.py: _recursive", "a.py: _Unused",
+                                       "a.py: _imported_only"]
 
 
 def test_the_scan_finds_dead_names():
