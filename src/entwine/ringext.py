@@ -43,8 +43,8 @@ from .homspaces import (
     FrobeniusProblem,
     SearchConfig,
     Verdict,
-    decide_frobenius,
     combine,
+    decide_frobenius,
     decide_normalized,
     find_invertible_in_span,
     flat,

@@ -84,7 +84,10 @@ def test_entwining_spaces_match_probing(e):
     assert actforget.compute_W1prime(e).basis == ref.compute_W1prime(e)
 
 
-@pytest.mark.parametrize("fact", _corpus(corpus_factorizations))
+@pytest.mark.parametrize("fact", _corpus(corpus_factorizations) + [
+    pytest.param(rescaled_factorization(fact), id="%s-%s-rescaled" % (tag, name))
+    for tag, field in FIELDS if field.char != 2
+    for name, fact in corpus_factorizations(field)])
 def test_factorization_spaces_match_probing(fact):
     assert smash.compute_V3(fact).basis == ref.compute_V3(fact)
     assert smash.compute_W3(fact).basis == ref.compute_W3(fact)
