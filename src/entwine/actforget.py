@@ -15,8 +15,6 @@ isomorphism C (x) A ~ A* (x) C in the bicomodule category.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from .entwining import (
     Entwining,
     invert_psi,
@@ -241,8 +239,8 @@ def FprimeGprime_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
         witness=lambda em, vt: {"vartheta": vt, "e": em},
         residual=lambda w: frobenius_prime_residual(e, w["vartheta"], w["e"]),
         iso=lambda: iso_frobenius(
-            "FpGp-frob", e, std_object_CA(e, validate=False),
-            std_object_AstarC(e, validate=False), FROBENIUS_PRIME_CS, cfg, "bicomodule",
+            "FpGp-frob", e, std_object_CA(e),
+            std_object_AstarC(e), FROBENIUS_PRIME_CS, cfg, "bicomodule",
             lambda iso, inv: {"vartheta": _extract_vartheta(e, iso),
                               "e": _extract_e(e, inv)})),
         cfg, route)
@@ -294,8 +292,7 @@ def omegabar_to_vartheta(e: Entwining, omegabar: LinMap) -> LinMap:
 # ---------------------------------------------------------------------------
 # dual bases
 
-def dual_basis_A(e: Entwining, vt: LinMap, em: LinMap,
-                 c_vec: Optional[Sequence] = None):
+def dual_basis_A(e: Entwining, vt: LinMap, em: LinMap):
     """Dual basis of A built from a Frobenius pair, for invertible psi.
 
     Fix c with eps(c) = 1 and expand (id (x) e) Delta(c) = sum_i c_i (x) b_i
@@ -308,12 +305,11 @@ def dual_basis_A(e: Entwining, vt: LinMap, em: LinMap,
     phi, _ = invert_psi(e)
     if phi is None:
         raise InternalCheckError("dual basis requires invertible psi")
-    if c_vec is None:
-        pick = next((i for i in range(nc) if e.c.counit[i]), None)
-        if pick is None:
-            raise InternalCheckError("counit is zero; no normalized c exists")
-        scale = f.one / e.c.counit[pick]
-        c_vec = [scale * x for x in basis_vec(f, nc, pick)]
+    pick = next((i for i in range(nc) if e.c.counit[i]), None)
+    if pick is None:
+        raise InternalCheckError("counit is zero; no normalized c exists")
+    scale = f.one / e.c.counit[pick]
+    c_vec = [scale * x for x in basis_vec(f, nc, pick)]
 
     emap = em.with_shapes((nc,), (na, na))
     idc = LinMap.identity(f, (nc,))

@@ -25,9 +25,9 @@ e_b2 (x) e_a2 in R(e_a (x) e_b).  Matrix-valued maps ("map", "embedding")
 are dense row-major matrices indexed by codomain then domain basis.
 
 Exit codes: 0 pass / yes, 1 mathematical no or failed validation, 2 input
-or usage error, 3 verdict unknown within the configured budget.  JSON
-reports carry no timing and are byte-identical for identical inputs,
-flags, and seeds; timing is printed in text mode only.
+or usage error, 3 verdict unknown within the configured budget, 70 internal
+error.  JSON reports carry no timing and are byte-identical for identical
+inputs, flags, and seeds; timing is printed in text mode only.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ from .ringext import (
 )
 from .smash import (
     Factorization,
+    check_factorization,
     compute_V3,
     compute_W3,
     cross_check_frobenius,
@@ -163,8 +164,8 @@ def _vec(field, node, path):
             for i, x in enumerate(_list(node, path))]
 
 
-def _rows(field, node, path, ncols=None):
-    out = []
+def _rows(field, node, path):
+    out, ncols = [], None
     for i, row in enumerate(_list(node, path)):
         r = _vec(field, row, "%s[%d]" % (path, i))
         if ncols is None:
@@ -329,7 +330,7 @@ def load_structure_file(path):
             doc = json.load(fh)
     except OSError as ex:
         raise ParseError("cannot read %s: %s" % (path, ex)) from None
-    except json.JSONDecodeError as ex:
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as ex:
         raise ParseError("%s is not valid JSON: %s" % (path, ex)) from None
     return parse_structure_document(doc)
 
@@ -449,12 +450,11 @@ def verdict_report(v: Verdict, field: Field, args, residuals) -> dict:
     }
 
 
-def emit(report: dict, fmt: str, elapsed=None, out=None):
-    out = out or sys.stdout
+def emit(report: dict, fmt: str, elapsed=None):
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
         return
-    _emit_text(report, out, elapsed)
+    _emit_text(report, sys.stdout, elapsed)
 
 
 def _emit_text(report, out, elapsed, indent=""):
@@ -562,17 +562,21 @@ def _as_entwining(kind, payload) -> Entwining:
     if kind == "entwining":
         return payload
     if kind == "doi_hopf":
-        return from_doi_hopf(payload, validate=False)
+        return from_doi_hopf(payload)
     raise ParseError("usage error: this question needs an entwining or "
                      "doi_hopf payload, not %s" % kind)
 
 
 def _as_factorization(kind, payload) -> Factorization:
     if kind == "factorization":
-        return payload
+        return payload  # cmd_analyze has validated it
     if kind in ("entwining", "doi_hopf"):
-        return entwining_to_factorization(_as_entwining(kind, payload),
-                                          validate=False)
+        # derived from a valid payload, so a failure is a bug, not bad input
+        fact = entwining_to_factorization(_as_entwining(kind, payload))
+        rep = check_factorization(fact, "derived factorization")
+        if not rep.ok:
+            raise InternalCheckError(rep.describe())
+        return fact
     raise ParseError("usage error: this question needs a factorization, "
                      "entwining, or doi_hopf payload, not %s" % kind)
 
@@ -618,7 +622,7 @@ def run_analysis(kind, payload, question, cfg, field, args):
             target = fact
         else:
             rep = smash_over_B_report(fact, cfg)
-            target = op_dual(fact, verify=False)
+            target = op_dual(fact)
         body = {}
         for name in ("split", "separable", "frobenius"):
             v = rep[name]
@@ -631,7 +635,7 @@ def run_analysis(kind, payload, question, cfg, field, args):
     if question == "cross-check":
         e = _as_entwining(kind, payload)
         cc = cross_check_frobenius(e, cfg)
-        fact = entwining_to_factorization(e, validate=False)
+        fact = entwining_to_factorization(e)
         report = {
             "question": "cross-check",
             "agree": cc["agree"],
@@ -795,17 +799,15 @@ def _corpus_checks(entry: CorpusEntry, cfg: SearchConfig):
         e = payload
 
         def dict_round_trip():
-            fact = entwining_to_factorization(e, validate=False)
-            return factorization_to_entwining(fact, e.c, validate=False) == e
+            fact = entwining_to_factorization(e)
+            return factorization_to_entwining(fact, e.c) == e
 
         def cross():
             return cross_check_frobenius(e, cfg)["agree"]
 
         def adjunction():
-            objs = [std_object_AC(e, validate=False),
-                    std_object_CA(e, validate=False),
-                    std_object_CstarA(e, validate=False),
-                    std_object_AstarC(e, validate=False)]
+            objs = [std_object_AC(e), std_object_CA(e),
+                    std_object_CstarA(e), std_object_AstarC(e)]
             return all(adjunction_check(e, m).ok for m in objs)
 
         checks += [("fg-frob-routes", _routes_agree(FG_frobenius, e, cfg)),
@@ -820,10 +822,10 @@ def _corpus_checks(entry: CorpusEntry, cfg: SearchConfig):
 
         def smash_valid():
             from .structures import check_algebra
-            return check_algebra(smash_product(fact, validate=False)).ok
+            return check_algebra(smash_product(fact)).ok
 
         def gamma_dims():
-            ext = unit_embedding_A(fact, validate=False)
+            ext = unit_embedding_A(fact)
             t = tensor_over_R(ext)
             return (compute_V3(fact).dim == compute_expectations(ext).dim
                     and compute_W3(fact).dim == compute_casimir(t).dim)
@@ -962,6 +964,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InternalCheckError as ex:
         sys.stderr.write("internal self-check failure: %s\n" % ex)
+        return EXIT_INTERNAL
+    except Exception:  # any other failure is a bug, never a verdict
+        import traceback  # imported here: it costs 0.2 MB of memory at start-up
+
+        sys.stderr.write("internal error:\n" + traceback.format_exc())
         return EXIT_INTERNAL
 
 

@@ -134,7 +134,7 @@ def compute_W1(e: Entwining) -> SolutionSpace:
     # b z = z b as maps A -> A (x) C, b |-> b z and b |-> z b
     laws = LinearLaws(e.field, 1, na * nc)
     laws.add(Term(left=e.a.mult_map().tensor(LinMap.identity(e.field, (nc,))), before=na),
-             Term(-1, left=std_object_AC(e, validate=False).act, after=na))
+             Term(-1, left=std_object_AC(e).act, after=na))
     return SolutionSpace(laws.kernel(), lambda z: z_residual(e, z))
 
 
@@ -247,8 +247,8 @@ def FG_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig(),
         witness=lambda z, theta: {"theta": theta, "z": z},
         residual=lambda w: frobenius_residual(e, w["theta"], w["z"]),
         iso=lambda: iso_frobenius(
-            "FG-frob", e, std_object_AC(e, validate=False),
-            std_object_CstarA(e, validate=False), FROBENIUS_CS, cfg, "bimodule",
+            "FG-frob", e, std_object_AC(e),
+            std_object_CstarA(e), FROBENIUS_CS, cfg, "bimodule",
             lambda iso, inv: {"theta": _extract_theta(e, iso), "z": _extract_z(e, inv)})),
         cfg, route)
 

@@ -174,6 +174,8 @@ _BIALGEBRA_BY_DIM: dict[int, Callable[[Field], BialgebraData]] = {
     4: sweedler_bialgebra,
 }
 
+_MAX_ATTEMPTS = 4000  # candidate (co)actions random_doi_hopf draws before it gives up
+
 
 def upper_triangular_algebra(field: Field) -> AlgebraData:
     """T2: upper triangular 2x2 matrices, realized as the dual of the arrow
@@ -181,8 +183,7 @@ def upper_triangular_algebra(field: Field) -> AlgebraData:
     return dual_algebra(arrow_coalgebra(field))
 
 
-def random_doi_hopf(dims: tuple[int, int, int], field: Field, seed: int,
-                    max_attempts: int = 4000):
+def random_doi_hopf(dims: tuple[int, int, int], field: Field, seed: int):
     """Rejection-sample a valid Doi-Hopf datum with the given (H, A, C) dims.
 
     The bialgebra H and the underlying algebra A / coalgebra C are fixed
@@ -216,7 +217,7 @@ def random_doi_hopf(dims: tuple[int, int, int], field: Field, seed: int,
     unit_leg = idc.tensor(h.algebra.unit_map())
 
     coaction = None
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         cand = CoactionData("right", LinMap.from_rows(
             field, (a.dim,), (a.dim, h.dim), rand_map(a.dim, a.dim * h.dim)))
         if (counit_leg.compose(cand.map).mat == ida.mat
@@ -225,9 +226,9 @@ def random_doi_hopf(dims: tuple[int, int, int], field: Field, seed: int,
             break
     if coaction is None:
         raise ParseError("no valid coaction found in %d attempts (dims=%r seed=%r)"
-                         % (max_attempts, dims, seed))
+                         % (_MAX_ATTEMPTS, dims, seed))
     action = None
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         cand = ActionData("right", LinMap.from_rows(
             field, (c.dim, h.dim), (c.dim,), rand_map(c.dim * h.dim, c.dim)))
         if (cand.map.compose(unit_leg).mat == idc.mat
@@ -236,7 +237,7 @@ def random_doi_hopf(dims: tuple[int, int, int], field: Field, seed: int,
             break
     if action is None:
         raise ParseError("no valid action found in %d attempts (dims=%r seed=%r)"
-                         % (max_attempts, dims, seed))
+                         % (_MAX_ATTEMPTS, dims, seed))
     return DoiHopfDatum(h, a, c, coaction, action)
 
 
@@ -279,7 +280,7 @@ def doi_hopf_kc2_datum(field: Field):
 def _doi_hopf_kc2_entwining(field: Field):
     from .entwining import from_doi_hopf
 
-    return from_doi_hopf(doi_hopf_kc2_datum(field), validate=False)
+    return from_doi_hopf(doi_hopf_kc2_datum(field))
 
 
 def unit_extension(field: Field, s: AlgebraData):
@@ -312,7 +313,7 @@ def _flip_factorization(b_of, a_of):
 def _doihopf_factorization(field: Field):
     from .smash import entwining_to_factorization
 
-    return entwining_to_factorization(_doi_hopf_kc2_entwining(field), validate=False)
+    return entwining_to_factorization(_doi_hopf_kc2_entwining(field))
 
 
 def _kc2(f):
@@ -398,7 +399,8 @@ def corpus_names() -> tuple:
 
 
 def validate_payload(payload) -> ValidationReport:
-    """Run the validator matching the payload type."""
+    """Run the validator matching the payload type.  This is the gate: the
+    constructions and deciders take valid input and never re-check it."""
     from .entwining import DoiHopfDatum, Entwining, check_doi_hopf, check_entwining
     from .ringext import RingExtension, check_extension
     from .smash import Factorization, check_factorization

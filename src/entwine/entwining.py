@@ -7,7 +7,9 @@ e_{a2} (x) e_{c2} in psi(e_c (x) e_a).
 
 Entwined modules carry a right A-action and a right C-coaction compatible
 through psi; optional left structures make them objects of the one-sided
-bimodule categories used by the Frobenius analyses.
+bimodule categories used by the Frobenius analyses.  The constructions
+take valid input to valid output and re-check neither: a structure is
+checked once, on entry, by corpus.validate_payload.
 """
 
 from __future__ import annotations
@@ -125,12 +127,8 @@ def check_doi_hopf(d: DoiHopfDatum, subject: str = "doi-hopf") -> ValidationRepo
     return rep
 
 
-def from_doi_hopf(d: DoiHopfDatum, validate: bool = True) -> Entwining:
-    """psi(c (x) a) = a_(0) (x) c . a_(1); always passes check_entwining."""
-    if validate:
-        rep = check_doi_hopf(d)
-        if not rep.ok:
-            raise ParseError("invalid Doi-Hopf datum:\n" + rep.describe())
+def from_doi_hopf(d: DoiHopfDatum) -> Entwining:
+    """psi(c (x) a) = a_(0) (x) c . a_(1); an entwining whenever d is valid."""
     f = d.field
     na, nc, nh = d.a.dim, d.c.dim, d.h.dim
     ida = LinMap.identity(f, (na,))
@@ -212,34 +210,6 @@ def check_entwined_object(e: Entwining, m: EntwinedObject,
     return rep
 
 
-class InvalidEntwining(ParseError):
-    """Raised when a standard object is requested over invalid input data."""
-
-
-def _require_valid(e: Entwining):
-    rep = check_entwining(e)
-    if not rep.ok:
-        raise InvalidEntwining(rep.describe())
-
-
-def _standard_object(build):
-    """With validate=True, check the entwining before `build` and the
-    entwined-object laws of what it returns after."""
-    def checked(e: Entwining, validate: bool = True) -> EntwinedObject:
-        if validate:
-            _require_valid(e)
-        obj = build(e)
-        if validate:
-            rep = check_entwined_object(e, obj)
-            if not rep.ok:
-                raise InvalidEntwining(rep.describe())
-        return obj
-    # the name and docstring of the builder, the signature of `checked`
-    checked.__name__, checked.__qualname__, checked.__doc__ = \
-        build.__name__, build.__qualname__, build.__doc__
-    return checked
-
-
 def twisted_mult(e: Entwining) -> LinMap:
     """C (x) A (x) A -> A (x) C, c (x) b (x) a |-> b_psi a (x) c^psi."""
     f = e.field
@@ -258,7 +228,6 @@ def twisted_comult(e: Entwining) -> LinMap:
     return e.psi.tensor(LinMap.identity(f, (nc,))).compose(comult_a)
 
 
-@_standard_object
 def std_object_AC(e: Entwining) -> EntwinedObject:
     """A (x) C with (b (x) c) a = b a_psi (x) c^psi, rho = id (x) Delta, a(b (x) c) = ab (x) c."""
     f = e.field
@@ -272,7 +241,6 @@ def std_object_AC(e: Entwining) -> EntwinedObject:
     return EntwinedObject("A(x)C", na * nc, act, coact, lact=lact)
 
 
-@_standard_object
 def std_object_CA(e: Entwining) -> EntwinedObject:
     """C (x) A with (c (x) a) b = c (x) ab, rho = (id (x) psi)(Delta (x) id), lambda = Delta (x) id."""
     f = e.field
@@ -286,7 +254,6 @@ def std_object_CA(e: Entwining) -> EntwinedObject:
     return EntwinedObject("C(x)A", nc * na, act, coact, lcoact=lcoact)
 
 
-@_standard_object
 def std_object_CstarA(e: Entwining) -> EntwinedObject:
     """C* (x) A in the coordinate dual basis.
 
@@ -307,7 +274,6 @@ def std_object_CstarA(e: Entwining) -> EntwinedObject:
     return EntwinedObject("C*(x)A", nc * na, act, coact, lact=lact)
 
 
-@_standard_object
 def std_object_AstarC(e: Entwining) -> EntwinedObject:
     """A* (x) C in the coordinate dual basis.
 

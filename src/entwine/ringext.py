@@ -409,13 +409,18 @@ def frobenius_check(ext: RingExtension, cfg: SearchConfig = SearchConfig(),
     route="iso" checks finite projectivity and looks for an invertible
     morphism onto the twisted right dual; route="auto" chains them.
     """
-    t = tensor_over_R(ext)
-    return decide_frobenius(FrobeniusProblem(
+    return decide_frobenius(_frobenius_problem(ext, tensor_over_R(ext), cfg), cfg, route)
+
+
+def _frobenius_problem(ext: RingExtension, t: TensorOverR,
+                       cfg: SearchConfig) -> FrobeniusProblem:
+    """The Frobenius question of ext over its tensor square t = S (x)_R S."""
+    return FrobeniusProblem(
         "ext-frob", "system", system=lambda: frobenius_system(ext, t),
         dims=("V1_dim", "W1_dim"), extra={"tensor_dim": t.dim},
         witness=lambda evec, nu: {"nu": nu, "e": evec},
         residual=lambda w: frobenius_residual(ext, t, w["nu"], w["e"]),
-        iso=lambda: _iso_route(ext, t, cfg)), cfg, route)
+        iso=lambda: _iso_route(ext, t, cfg))
 
 
 def _iso_route(ext: RingExtension, t: TensorOverR, cfg: SearchConfig) -> Verdict:

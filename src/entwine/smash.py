@@ -14,7 +14,9 @@ left-handed formulas.
 
 A factorization with B the opposite dual of a coalgebra C is the same
 data as an entwining of (A, C); the dictionary in both directions lives
-here and ties the smash picture to the entwined-module one.
+here and ties the smash picture to the entwined-module one.  It, the
+smash product and the op-dual take valid input to valid output and never
+re-check it; corpus.validate_payload is the gate.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .exactlin import (
     swap_map,
     vec_is_zero,
 )
-from .entwining import Entwining, check_entwining
+from .entwining import Entwining
 from .homspaces import (
     BilinearSystem,
     FrobeniusProblem,
@@ -44,12 +46,11 @@ from .homspaces import (
     decide_frobenius,
     decide_normalized,
 )
-from .ringext import RingExtension, frobenius_check, tensor_over_R
+from .ringext import RingExtension, _frobenius_problem, frobenius_check, tensor_over_R
 from .structures import (
     AlgebraData,
     ValidationReport,
     check_algebra,
-    check_algebra_map,
     dual_algebra,
 )
 
@@ -129,12 +130,6 @@ def check_factorization(fact: Factorization,
     return rep
 
 
-def _require_valid(fact: Factorization):
-    rep = check_factorization(fact)
-    if not rep.ok:
-        raise ParseError("invalid factorization:\n" + rep.describe())
-
-
 def smash_mult_map(fact: Factorization) -> LinMap:
     """(m_B (x) m_A) . (id (x) R (x) id) on (B (x) A) (x) (B (x) A)."""
     f = fact.field
@@ -145,46 +140,33 @@ def smash_mult_map(fact: Factorization) -> LinMap:
             .compose(idb.tensor(fact.rmap).tensor(ida)))
 
 
-def smash_product(fact: Factorization, validate: bool = True) -> AlgebraData:
-    """The twisted algebra B # A; rejects invalid factorizations."""
-    if validate:
-        _require_valid(fact)
+def smash_product(fact: Factorization) -> AlgebraData:
+    """The twisted algebra B # A."""
     return AlgebraData.from_mult_map(smash_mult_map(fact),
                                      kron_vec(fact.b.unit, fact.a.unit))
 
 
-def unit_embedding_A(fact: Factorization, validate: bool = True) -> RingExtension:
+def unit_embedding_A(fact: Factorization) -> RingExtension:
     """The extension A -> B # A along a |-> 1 # a."""
     f = fact.field
-    smash = smash_product(fact, validate=validate)
+    smash = smash_product(fact)
     imgs = [kron_vec(fact.b.unit, basis_vec(f, fact.a.dim, i))
             for i in range(fact.a.dim)]
     emb = LinMap.from_images(f, (fact.a.dim,), (smash.dim,), imgs)
     return RingExtension(fact.a, smash, emb)
 
 
-def op_dual(fact: Factorization, verify: bool = True) -> Factorization:
+def op_dual(fact: Factorization) -> Factorization:
     """The factorization (A^op, B^op, R~) with R~ = swap . R . swap.
 
     The smash product of the dual is the opposite algebra of B # A under
-    the leg swap; with verify=True both facts are checked exactly.
+    the leg swap.
     """
     f = fact.field
     nb, na = fact.b.dim, fact.a.dim
     s = swap_map(f, nb, na)
     rmap = s.compose(fact.rmap).compose(s).with_shapes((nb, na), (na, nb))
-    dual = Factorization(fact.a.opposite(), fact.b.opposite(), rmap)
-    if verify:
-        rep = check_factorization(dual, "op-dual")
-        if not rep.ok:
-            raise InternalCheckError("op-dual fails the axioms:\n" + rep.describe())
-        rep = check_algebra_map(smash_product(fact, validate=False),
-                                smash_product(dual, validate=False).opposite(),
-                                s, "op-dual-iso")
-        if not rep.ok:
-            raise InternalCheckError("op-dual swap is not an algebra map:\n"
-                                     + rep.describe())
-    return dual
+    return Factorization(fact.a.opposite(), fact.b.opposite(), rmap)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +374,13 @@ def _iso_route(fact: Factorization, cfg: SearchConfig) -> Verdict:
     f = fact.field
     nb, na = fact.b.dim, fact.a.dim
     q = "smash-A-frob"
-    ext = unit_embedding_A(fact, validate=False)
-    ve = frobenius_check(ext, cfg, route="iso")
+    ext = unit_embedding_A(fact)
+    t = tensor_over_R(ext)
+    ve = decide_frobenius(_frobenius_problem(ext, t, cfg), cfg, "iso")
     meta = dict(ve.meta)
     meta["route"] = "iso"
     if ve.status != "yes":
         return Verdict(q, ve.status, ve.reason, meta=meta)
-    t = tensor_over_R(ext)
     restrict = LinMap.from_images(
         f, (nb,), (ext.s.dim,),
         [kron_vec(basis_vec(f, nb, i), fact.a.unit) for i in range(nb)])
@@ -408,11 +390,8 @@ def _iso_route(fact: Factorization, cfg: SearchConfig) -> Verdict:
                    witness={"kappa": kappa, "e": evec}, meta=meta)
 
 
-def smash_over_A_report(fact: Factorization, cfg: SearchConfig = SearchConfig(),
-                        validate: bool = True) -> dict:
+def smash_over_A_report(fact: Factorization, cfg: SearchConfig = SearchConfig()) -> dict:
     """Split/separable/Frobenius verdicts for B # A over A."""
-    if validate:
-        _require_valid(fact)
     return {
         "split": smash_split_A(fact),
         "separable": smash_separable_A(fact),
@@ -420,13 +399,9 @@ def smash_over_A_report(fact: Factorization, cfg: SearchConfig = SearchConfig(),
     }
 
 
-def smash_over_B_report(fact: Factorization, cfg: SearchConfig = SearchConfig(),
-                        validate: bool = True) -> dict:
+def smash_over_B_report(fact: Factorization, cfg: SearchConfig = SearchConfig()) -> dict:
     """Split/separable/Frobenius verdicts for B # A over B, via the op-dual."""
-    if validate:
-        _require_valid(fact)
-    dual = op_dual(fact, verify=False)
-    rep = smash_over_A_report(dual, cfg, validate=False)
+    rep = smash_over_A_report(op_dual(fact), cfg)
     out = {}
     for key, v in rep.items():
         meta = dict(v.meta)
@@ -439,19 +414,14 @@ def smash_over_B_report(fact: Factorization, cfg: SearchConfig = SearchConfig(),
 # ---------------------------------------------------------------------------
 # the dictionary with entwinings
 
-def entwining_to_factorization(e: Entwining, validate: bool = True) -> Factorization:
+def entwining_to_factorization(e: Entwining) -> Factorization:
     """((C*)^op, A, R) with R(a (x) c*) = <c*, c_i^psi> c_i* (x) a_psi."""
-    if validate:
-        rep = check_entwining(e)
-        if not rep.ok:
-            raise ParseError("invalid entwining:\n" + rep.describe())
     # legs of psi: (a_psi, c^psi | c, a)
     rmap = e.psi.with_shapes((e.c.dim, e.a.dim), (e.a.dim, e.c.dim)).regroup((2, 0), (3, 1))
     return Factorization(dual_algebra(e.c, opposite=True), e.a, rmap)
 
 
-def factorization_to_entwining(fact: Factorization, c,
-                               validate: bool = True) -> Entwining:
+def factorization_to_entwining(fact: Factorization, c) -> Entwining:
     """Recover psi from a factorization whose B is the opposite dual of c.
 
     The coalgebra witness is required; handing a B that is not (C*)^op for
@@ -460,8 +430,6 @@ def factorization_to_entwining(fact: Factorization, c,
     if fact.b != dual_algebra(c, opposite=True):
         raise ParseError("factorization's B is not the opposite dual "
                          "of the declared coalgebra")
-    if validate:
-        _require_valid(fact)
     # legs of R: (c*_R, a_R | a, c*)
     psi = fact.rmap.with_shapes((fact.a.dim, c.dim), (c.dim, fact.a.dim)).regroup((1, 3), (0, 2))
     return Entwining(fact.a, c, psi)
@@ -477,9 +445,9 @@ def cross_check_frobenius(e: Entwining, cfg: SearchConfig = SearchConfig()) -> d
     """
     from .coforget import FG_frobenius
     entwined = FG_frobenius(e, cfg)
-    fact = entwining_to_factorization(e, validate=False)
+    fact = entwining_to_factorization(e)
     extension = smash_frobenius_A(fact, cfg)
-    direct = frobenius_check(unit_embedding_A(fact, validate=False), cfg)
+    direct = frobenius_check(unit_embedding_A(fact), cfg)
     if extension.definitive and direct.definitive and extension.status != direct.status:
         raise InternalCheckError(
             "smash and extension disagree on Frobenius: %s vs %s"

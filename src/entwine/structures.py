@@ -50,9 +50,8 @@ class ValidationReport:
         self.violations.extend(other.violations)
         return self
 
-    def add_law(self, law: str, lhs: LinMap, rhs: LinMap, limit: int = 1):
-        """Record up to `limit` witness coordinates where lhs != rhs."""
-        found = 0
+    def add_law(self, law: str, lhs: LinMap, rhs: LinMap):
+        """Record the first witness coordinate where lhs != rhs, if any."""
         for r, (lrow, rrow) in enumerate(zip(lhs.mat, rhs.mat)):
             for c, (x, y) in enumerate(zip(lrow, rrow)):
                 if x != y:
@@ -60,10 +59,7 @@ class ValidationReport:
                         law,
                         unflatten_index(lhs.dom, c),
                         "output %r: %s != %s" % (unflatten_index(lhs.cod, r), x, y)))
-                    found += 1
-                    if found >= limit:
-                        return
-        return
+                    return
 
     def describe(self) -> str:
         if self.ok:
@@ -73,7 +69,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _freeze3(field: Field, dim: int, cube, what: str):
+def _freeze3(dim: int, cube, what: str):
     if len(cube) != dim:
         raise ParseError("%s must have %d outer entries" % (what, dim))
     out = []
@@ -89,7 +85,7 @@ def _freeze3(field: Field, dim: int, cube, what: str):
     return tuple(out)
 
 
-def _freeze1(field: Field, dim: int, vec, what: str):
+def _freeze1(dim: int, vec, what: str):
     if len(vec) != dim:
         raise ParseError("%s must have %d entries" % (what, dim))
     return tuple(vec)
@@ -110,8 +106,8 @@ class AlgebraData:
         dim = len(unit)
         if dim < 1:
             raise ParseError("algebra dim must be >= 1")
-        return AlgebraData(field, dim, _freeze3(field, dim, mult, "mult"),
-                           _freeze1(field, dim, unit, "unit"))
+        return AlgebraData(field, dim, _freeze3(dim, mult, "mult"),
+                           _freeze1(dim, unit, "unit"))
 
     def product(self, u: Sequence, v: Sequence) -> tuple:
         out = [self.field.zero] * self.dim
@@ -199,8 +195,8 @@ class CoalgebraData:
         dim = len(counit)
         if dim < 1:
             raise ParseError("coalgebra dim must be >= 1")
-        return CoalgebraData(field, dim, _freeze3(field, dim, comult, "comult"),
-                             _freeze1(field, dim, counit, "counit"))
+        return CoalgebraData(field, dim, _freeze3(dim, comult, "comult"),
+                             _freeze1(dim, counit, "counit"))
 
     def comult_map(self) -> LinMap:
         n = self.dim

@@ -69,7 +69,7 @@ def w1_ops(e):
     """For each basis element b of A, the map z |-> b z - z b on A (x) C."""
     f = e.field
     na, nc = e.a.dim, e.c.dim
-    act = std_object_AC(e, validate=False).act
+    act = std_object_AC(e).act
     idc = LinMap.identity(f, (nc,))
     ops = []
     for beta in range(na):

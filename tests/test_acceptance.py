@@ -207,6 +207,7 @@ def test_criterion_05_dictionary_round_trip_and_cross_check():
         for field in (QQ, F2, F3):
             for name, e in corpus_entwinings(field):
                 fact = entwining_to_factorization(e)
+                assert check_factorization(fact).ok, name
                 assert factorization_to_entwining(fact, e.c) == e, name
         for field in (F2, F3):
             for name, e in corpus_entwinings(field):
@@ -225,19 +226,18 @@ def test_criterion_06_smash_associativity_iff_axioms():
                      for _ in range(4)] for _ in range(4)]
             fact = Factorization(b, a, LinMap.from_rows(F2, (2, 2), (2, 2), rows))
             ax = check_factorization(fact).ok
-            alg = check_algebra(smash_product(fact, validate=False)).ok
+            alg = check_algebra(smash_product(fact)).ok
             assert ax == alg
         for field in (F2, F3):
             for name, fact in corpus_factorizations(field):
                 assert check_factorization(fact).ok, name
-                assert check_algebra(smash_product(fact, validate=False)).ok, name
+                assert check_algebra(smash_product(fact)).ok, name
                 rows = [list(r) for r in fact.rmap.mat]
                 rows[0][0] = rows[0][0] + field.one
                 broken = Factorization(fact.b, fact.a, LinMap.from_rows(
                     field, fact.rmap.dom, fact.rmap.cod, rows))
                 assert not check_factorization(broken).ok
-                assert not check_algebra(smash_product(broken,
-                                                       validate=False)).ok
+                assert not check_algebra(smash_product(broken)).ok
 
 
 def test_criterion_07_dual_basis_resolutions_of_identity():
@@ -315,8 +315,8 @@ def test_criterion_08_converter_round_trips_and_hom_membership():
     with budget(30):
         for field in (QQ, F2, F3):
             for name, e in corpus_entwinings(field):
-                x = std_object_AC(e, validate=False)
-                y = std_object_CstarA(e, validate=False)
+                x = std_object_AC(e)
+                y = std_object_CstarA(e)
                 v1, w1 = compute_V1(e), compute_W1(e)
                 assert len(hom_basis(e, x, y, FROBENIUS_CS)) == v1.dim, name
                 assert len(hom_basis(e, y, x, FROBENIUS_CS)) == w1.dim, name
@@ -329,8 +329,8 @@ def test_criterion_08_converter_round_trips_and_hom_membership():
                     assert morphism_ok(e, y, x, ph, FROBENIUS_CS)
                     assert phi_to_z(e, ph) == z
 
-                xp = std_object_CA(e, validate=False)
-                yp = std_object_AstarC(e, validate=False)
+                xp = std_object_CA(e)
+                yp = std_object_AstarC(e)
                 v1p, w1p = compute_V1prime(e), compute_W1prime(e)
                 assert len(hom_basis(e, xp, yp, FROBENIUS_PRIME_CS)) == v1p.dim
                 assert len(hom_basis(e, yp, xp, FROBENIUS_PRIME_CS)) == w1p.dim
@@ -383,7 +383,7 @@ def test_criterion_09_adjunction_triangle_identities():
             for name, e in corpus_entwinings(field):
                 for std in (std_object_AC, std_object_CA,
                             std_object_CstarA, std_object_AstarC):
-                    m = std(e, validate=False)
+                    m = std(e)
                     rep = adjunction_check(e, m)
                     assert rep.ok, (name, m.label, rep.describe())
 

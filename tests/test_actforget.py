@@ -54,7 +54,7 @@ def doi_hopf_kc2_entwining(field):
     d = DoiHopfDatum(h, h.algebra, h.coalgebra,
                      CoactionData("right", h.coalgebra.comult_map()),
                      ActionData("right", h.algebra.mult_map()))
-    return from_doi_hopf(d, validate=False)
+    return from_doi_hopf(d)
 
 
 def triangular_entwining(field):
@@ -346,8 +346,8 @@ def test_converters_are_mutually_inverse_and_land_in_hom_spaces(field):
                  lambda f: Entwining.flip(cyclic_group_algebra(f, 2),
                                           grouplike_coalgebra(f, 2))):
         e = make(field)
-        x = std_object_CA(e, validate=False)
-        y = std_object_AstarC(e, validate=False)
+        x = std_object_CA(e)
+        y = std_object_AstarC(e)
         w1 = compute_W1prime(e)
         homs = hom_basis(e, y, x, FROBENIUS_PRIME_CS)
         assert len(homs) == w1.dim

@@ -60,7 +60,7 @@ def _cases():
                                     ref.fpgp_frobenius_system, e,
                                     id="FpGp-%s-%s" % (tag, name)))
             out.append(pytest.param(smash.frobenius_smash_system, ref.smash_frobenius_system,
-                                    smash.entwining_to_factorization(e, validate=False),
+                                    smash.entwining_to_factorization(e),
                                     id="smash-%s-from-%s" % (tag, name)))
         for name, fact in corpus_factorizations(field):
             out.append(pytest.param(smash.frobenius_smash_system, ref.smash_frobenius_system,
@@ -72,7 +72,7 @@ def _cases():
         if field.char == 2:
             continue  # 2 is not invertible: no rescaled bases
         rescaled = corpus_factorizations(field) + [
-            ("from-" + name, smash.entwining_to_factorization(e, validate=False))
+            ("from-" + name, smash.entwining_to_factorization(e))
             for name, e in corpus_entwinings(field)]
         for name, fact in rescaled:
             out.append(pytest.param(smash.frobenius_smash_system, ref.smash_frobenius_system,

@@ -1,5 +1,6 @@
 """The command line front end: file parsing, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,13 +8,16 @@ import sys
 import pytest
 
 from _reversed_corpus import run_reversed
+from entwine import cli
 from entwine.cli import (
     main,
     parse_structure_document,
     payload_to_structure_document,
 )
 from entwine.corpus import builtin
-from entwine.exactlin import Field, ParseError, QQ
+from entwine.exactlin import Field, ParseError, QQ, ShapeError
+from entwine.smash import check_factorization, entwining_to_factorization
+from entwine.structures import ValidationReport, Violation
 
 F2 = Field("Fp", 2)
 F3 = Field("Fp", 3)
@@ -131,6 +135,22 @@ def test_validate_not_json(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(p))
     assert code == 2
     assert "JSON" in err
+
+
+def test_validate_not_utf8(tmp_path, capsys):
+    p = tmp_path / "x.json"
+    p.write_bytes(b"\xff\xff\xff{")
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert "is not valid JSON" in err
+
+
+def test_validate_too_deeply_nested(tmp_path, capsys):
+    p = tmp_path / "x.json"
+    p.write_text("[" * 200000 + "]" * 200000)
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert "is not valid JSON" in err
 
 
 def test_validate_missing_file(capsys):
@@ -256,6 +276,59 @@ def test_iso_failing_the_morphism_laws_is_an_internal_error(tmp_path, capsys,
     assert all(n.startswith("InternalCheckError: ") for n in notes)
 
 
+def test_any_other_failure_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """An exception no command expects is a bug: exit 70 with its traceback,
+    never 1, which reads as a verdict."""
+    def shape_bug(e):
+        raise ShapeError("planted shape bug")
+
+    monkeypatch.setitem(cli.DECIDERS, "F-sep", shape_bug)
+    p = export(tmp_path, "flip-k-DN", F2)
+    code, _, err = run(capsys, "analyze", str(p), "--question", "F-sep")
+    assert code == 70
+    assert "Traceback" in err and "ShapeError: planted shape bug" in err
+
+
+def test_derived_factorization_failing_the_axioms_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    """The factorization derived from a valid entwining is re-checked; a
+    failure is a bug in the dictionary (exit 70), not bad input (exit 2)."""
+    p = export(tmp_path, "flip-k-DN", F2)
+    _, _, e = cli.load_structure_file(str(p))
+    broken = cli.mutate_payload(entwining_to_factorization(e))
+    assert not check_factorization(broken).ok
+    monkeypatch.setattr(cli, "entwining_to_factorization", lambda e: broken)
+    for question in cli.SMASH_QUESTIONS:
+        code, _, err = run(capsys, "analyze", str(p), "--question", question)
+        assert code == 70, question
+        assert "derived factorization" in err
+
+
+# one payload of a kind each question accepts
+_GATE_ENTRIES = {q: "flip-k-DN" for q in cli.QUESTIONS}
+_GATE_ENTRIES.update({q: "ext-k-M2" for q in cli.EXTENSION_QUESTIONS})
+_GATE_ENTRIES.update({q: "fact-doihopf-kC2" for q in cli.SMASH_QUESTIONS})
+
+
+@pytest.mark.parametrize("question", cli.QUESTIONS)
+def test_analyze_runs_nothing_on_input_the_gate_rejects(tmp_path, capsys,
+                                                        monkeypatch, question):
+    """Constructions and deciders take valid input: `validate_payload` in
+    `cmd_analyze` is the only check between a file and the analysis."""
+    reached = []
+    monkeypatch.setattr(cli, "validate_payload", lambda payload: ValidationReport(
+        "planted", [Violation("planted-law", (), "planted")]))
+    monkeypatch.setattr(cli, "run_analysis", lambda *args: reached.append(args))
+    p = export(tmp_path, _GATE_ENTRIES[question], F2)
+    code, out, _ = run(capsys, "analyze", str(p), "--question", question,
+                       "--format", "json")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert [v["law"] for v in rep["violations"]] == ["planted-law"]
+    assert not reached
+
+
 def test_analyze_invalid_structure(tmp_path, capsys):
     p = export(tmp_path, "kC2", F2)
     doc = json.loads(p.read_text())
@@ -324,6 +397,17 @@ def test_corpus_run_clean_and_deterministic(capsys, monkeypatch):
     code, out = run_reversed(monkeypatch, ["corpus", "run", "--format", "json"])
     assert code == 0
     assert out == outs[0]
+
+
+# sha256 of `entwine corpus run --format json` with default flags, generated
+# before the constructions lost their validate/verify switches
+CORPUS_RUN_SHA256 = "bcd17ba604b72620bbdb0e064ece64a936e94f0e0d6b08c332ab78dae8c879d6"
+
+
+def test_corpus_run_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "corpus", "run", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_RUN_SHA256
 
 
 def test_corpus_run_injected_mutation_fails(capsys):

@@ -52,7 +52,7 @@ def doi_hopf_kc2_entwining(field):
     d = DoiHopfDatum(h, h.algebra, h.coalgebra,
                      CoactionData("right", h.coalgebra.comult_map()),
                      ActionData("right", h.algebra.mult_map()))
-    return from_doi_hopf(d, validate=False)
+    return from_doi_hopf(d)
 
 
 # -- independent brute-force oracle over F2 ----------------------------------
@@ -340,7 +340,7 @@ def test_converters_are_mutually_inverse_and_land_in_hom_spaces(field):
                  lambda f: Entwining.flip(cyclic_group_algebra(f, 2),
                                           grouplike_coalgebra(f, 2))):
         e = make(field)
-        x, y = std_object_AC(e, validate=False), std_object_CstarA(e, validate=False)
+        x, y = std_object_AC(e), std_object_CstarA(e)
         homs = hom_basis(e, x, y, FROBENIUS_CS)
         v1 = compute_V1(e)
         assert len(homs) == v1.dim

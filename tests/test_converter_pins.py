@@ -58,7 +58,7 @@ def cases() -> dict:
             out["%s/%s" % (tag, name)] = e
     for dims, tag, seed in RANDOM_DOI_HOPF:
         out["%s/doihopf%s-seed%d" % (tag, "".join(map(str, dims)), seed)] = \
-            from_doi_hopf(random_doi_hopf(dims, fields[tag], seed), validate=False)
+            from_doi_hopf(random_doi_hopf(dims, fields[tag], seed))
     for tag in ("Q", "F3"):
         for name, e in corpus_entwinings(fields[tag]):
             out["%s/%s-rescaled" % (tag, name)] = rescaled_entwining(e)
@@ -85,7 +85,7 @@ def outputs(e: Entwining) -> dict:
     f = e.field
     na, nc = e.a.dim, e.c.dim
     rng = random.Random(0)
-    csa, asc = std_object_CstarA(e, validate=False), std_object_AstarC(e, validate=False)
+    csa, asc = std_object_CstarA(e), std_object_AstarC(e)
     thetas = coforget.compute_V1(e).basis + [_random_map(f, (nc, nc), (na,), rng)]
     zs = coforget.compute_W1(e).basis + [tuple(f.random(rng) for _ in range(na * nc))]
     ems = actforget.compute_W1prime(e).basis + [_random_map(f, (nc,), (na, na), rng)]
@@ -94,7 +94,7 @@ def outputs(e: Entwining) -> dict:
     phis = [coforget.z_to_phi(e, z) for z in zs]
     omegas = [actforget.e_to_omega(e, em) for em in ems]
     omegabars = [actforget.vartheta_to_omegabar(e, vt) for vt in vts]
-    fact = entwining_to_factorization(e, validate=False)
+    fact = entwining_to_factorization(e)
     return {
         "CstarA": [csa.act, csa.coact, csa.lact],
         "AstarC": [asc.act, asc.coact, asc.lcoact],
@@ -111,7 +111,7 @@ def outputs(e: Entwining) -> dict:
         "omegabar_to_vartheta": [actforget.omegabar_to_vartheta(e, m) for m in
                                  omegabars + [_random_map(f, (nc, na), (na, nc), rng)]],
         "to_factorization": [fact.rmap, fact.b.mult, fact.b.unit],
-        "to_entwining": [factorization_to_entwining(fact, e.c, validate=False).psi],
+        "to_entwining": [factorization_to_entwining(fact, e.c).psi],
         "tensor": [e.a.tensor(fact.b).mult, e.a.tensor(fact.b).unit],
     }
 

@@ -13,7 +13,7 @@ from entwine.corpus import (
     upper_triangular_algebra,
     validate_payload,
 )
-from entwine.entwining import Entwining, check_entwining, from_doi_hopf
+from entwine.entwining import Entwining, check_doi_hopf, check_entwining, from_doi_hopf
 from entwine.exactlin import Field, ParseError, QQ
 from entwine.ringext import RingExtension
 from entwine.smash import Factorization
@@ -118,6 +118,7 @@ def test_random_doi_hopf_deterministic():
     a = random_doi_hopf((2, 2, 2), F2, seed=1)
     b = random_doi_hopf((2, 2, 2), F2, seed=1)
     assert a == b
+    assert check_doi_hopf(a).ok
     e = from_doi_hopf(a)
     assert check_entwining(e).ok
 
@@ -125,6 +126,7 @@ def test_random_doi_hopf_deterministic():
 def test_random_doi_hopf_trivial_bialgebra_always_succeeds():
     for seed in range(5):
         d = random_doi_hopf((1, 1, 1), F3, seed=seed)
+        assert check_doi_hopf(d).ok
         assert check_entwining(from_doi_hopf(d)).ok
 
 

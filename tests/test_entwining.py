@@ -10,12 +10,12 @@ from entwine.corpus import (
     matrix_algebra,
     random_doi_hopf,
     trivial_algebra,
+    validate_payload,
 )
 from entwine.entwining import (
     DoiHopfDatum,
     Entwining,
     EntwinedObject,
-    InvalidEntwining,
     adjunction_check,
     check_doi_hopf,
     check_entwined_object,
@@ -86,6 +86,7 @@ def test_doi_hopf_kc2_datum_is_valid():
 
 @pytest.mark.parametrize("field", [QQ, F2, F3])
 def test_doi_hopf_kc2_psi_is_the_expected_permutation(field):
+    assert check_doi_hopf(doi_hopf_kc2(field)).ok
     e = from_doi_hopf(doi_hopf_kc2(field))
     one, zero = field.one, field.zero
     # psi(g^c (x) g^a) = g^a (x) g^{c+a}
@@ -98,19 +99,22 @@ def test_doi_hopf_kc2_psi_is_the_expected_permutation(field):
     assert check_entwining(e).ok
 
 
-def test_from_doi_hopf_rejects_invalid_datum():
+def test_the_gate_rejects_an_invalid_datum():
+    """from_doi_hopf takes valid data; validate_payload is what turns an
+    invalid datum away."""
     d = doi_hopf_kc2(QQ)
     bad_act = ActionData("right", LinMap.zero_map(QQ, (2, 2), (2,)))
     broken = DoiHopfDatum(d.h, d.a, d.c, d.coaction, bad_act)
-    with pytest.raises(Exception):
-        from_doi_hopf(broken)
+    rep = validate_payload(broken)
+    assert not rep.ok
+    assert "action-unit" in {v.law for v in rep.violations}
 
 
 @pytest.mark.parametrize("dims,seed", [((2, 2, 2), 0), ((2, 1, 2), 7), ((1, 2, 1), 3)])
 def test_random_doi_hopf_yields_valid_entwinings(dims, seed):
     d = random_doi_hopf(dims, F2, seed)
     assert check_doi_hopf(d).ok
-    assert check_entwining(from_doi_hopf(d, validate=False)).ok
+    assert check_entwining(from_doi_hopf(d)).ok
 
 
 # -- standard objects --------------------------------------------------------
@@ -119,28 +123,33 @@ def entwining_corpus(field):
     yield Entwining.flip(trivial_algebra(field), dual_numbers_coalgebra(field))
     yield Entwining.flip(cyclic_group_algebra(field, 2), grouplike_coalgebra(field, 2))
     yield Entwining.flip(matrix_algebra(field, 2), grouplike_coalgebra(field, 2))
-    yield from_doi_hopf(doi_hopf_kc2(field), validate=False)
+    yield from_doi_hopf(doi_hopf_kc2(field))
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3])
 def test_standard_objects_validate_eagerly(field):
+    """The standard objects of a valid entwining pass the entwined-object
+    laws; the builders do not check them, so this test does."""
     for e in entwining_corpus(field):
+        assert check_entwining(e).ok
         for build in (std_object_AC, std_object_CA, std_object_CstarA, std_object_AstarC):
-            obj = build(e, validate=True)
+            obj = build(e)
             assert check_entwined_object(e, obj).ok
 
 
-def test_standard_object_construction_rejects_broken_entwining():
+def test_the_gate_rejects_a_broken_entwining():
+    """The standard-object builders take valid entwinings; validate_payload
+    is what turns a broken one away."""
     a = cyclic_group_algebra(QQ, 2)
     c = grouplike_coalgebra(QQ, 2)
     bad = Entwining(a, c, LinMap.zero_map(QQ, (2, 2), (2, 2)))
-    for build in (std_object_AC, std_object_CA, std_object_CstarA, std_object_AstarC):
-        with pytest.raises(InvalidEntwining):
-            build(bad, validate=True)
+    rep = validate_payload(bad)
+    assert not rep.ok
+    assert "entwine-unit" in {v.law for v in rep.violations}
 
 
 def test_CA_coaction_value_for_doi_hopf_kc2():
-    e = from_doi_hopf(doi_hopf_kc2(QQ), validate=False)
+    e = from_doi_hopf(doi_hopf_kc2(QQ))
     obj = std_object_CA(e)
     # rho(g (x) g) = g (x) psi(g (x) g) = g (x) g (x) 1
     img = obj.coact.apply(basis_vec(QQ, 4, 1 * 2 + 1))
@@ -162,7 +171,9 @@ def test_AstarC_left_coaction_for_flip_splits_comultiplication():
     field = QQ
     a = cyclic_group_algebra(field, 2)
     c = dual_numbers_coalgebra(field)
-    obj = std_object_AstarC(Entwining.flip(a, c))
+    e = Entwining.flip(a, c)
+    obj = std_object_AstarC(e)
+    assert check_entwined_object(e, obj).ok
     # lambda(a* (x) x) = g (x) a* (x) x + x (x) a* (x) g
     img = obj.lcoact.apply(basis_vec(field, 4, 0 * 2 + 1))
     want = [field.zero] * 8
@@ -173,7 +184,7 @@ def test_AstarC_left_coaction_for_flip_splits_comultiplication():
 
 def test_entwined_object_checker_rejects_broken_compatibility():
     field = QQ
-    e = from_doi_hopf(doi_hopf_kc2(field), validate=False)
+    e = from_doi_hopf(doi_hopf_kc2(field))
     good = std_object_AC(e)
     flipped = Entwining.flip(e.a, e.c)
     wrong_act = std_object_AC(flipped).act  # built against a different psi
@@ -209,7 +220,7 @@ def test_invert_psi_reports_singular_matrix():
 def test_adjunction_triangles_on_standard_objects(field):
     for e in entwining_corpus(field):
         for build in (std_object_AC, std_object_CA, std_object_CstarA, std_object_AstarC):
-            obj = build(e, validate=False)
+            obj = build(e)
             assert adjunction_check(e, obj).ok
 
 

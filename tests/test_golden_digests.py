@@ -63,7 +63,7 @@ def _questions(payload):
     """(question, decide(route) -> verdict, reverify(verdict) -> dict) triples."""
     if isinstance(payload, Entwining):
         e = payload
-        fact = entwining_to_factorization(e, validate=False)
+        fact = entwining_to_factorization(e)
         return [
             ("FG-frob", lambda r: FG_frobenius(e, CFG, route=r),
              lambda v: cli._reverify_entwining("FG-frob", e, v)),

@@ -16,6 +16,8 @@ from entwine.corpus import (
 from entwine.entwining import (
     EntwinedObject,
     Entwining,
+    check_entwined_object,
+    check_entwining,
     from_doi_hopf,
     std_object_AC,
     std_object_CA,
@@ -43,6 +45,18 @@ F2 = Field("Fp", 2)
 F3 = Field("Fp", 3)
 
 BIMOD = ConstraintSet(right_A_linear=True, right_C_colinear=True, left_A_linear=True)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3])
+def test_standard_objects_used_here_are_entwined_modules(field):
+    """The builders take valid entwinings and do not check what they build;
+    this checks the objects the tests below build."""
+    for c in (grouplike_coalgebra(field, 2), grouplike_coalgebra(field, 3),
+              dual_numbers_coalgebra(field)):
+        e = Entwining.flip(trivial_algebra(field), c)
+        assert check_entwining(e).ok
+        for build in (std_object_AC, std_object_CA, std_object_CstarA):
+            assert check_entwined_object(e, build(e)).ok
 
 
 def test_frozen_dim_maps_AC_to_CstarA_over_grouplikes():
@@ -90,7 +104,7 @@ def test_hom_basis_matches_brute_force_over_F2():
 def test_hom_basis_doi_hopf_self_check():
     for field in (F2, F3):
         d = random_doi_hopf((2, 2, 2), field, 5)
-        e = from_doi_hopf(d, validate=False)
+        e = from_doi_hopf(d)
         x, y = std_object_AC(e), std_object_CA(e)
         basis = hom_basis(e, x, y, ENTWINED_MORPHISMS)
         for b in basis:

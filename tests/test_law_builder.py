@@ -59,8 +59,7 @@ def _corpus(entries_of):
 
 def _random_entwinings():
     fields = dict(FIELDS)
-    return [pytest.param(from_doi_hopf(random_doi_hopf(dims, fields[tag], seed),
-                                       validate=False),
+    return [pytest.param(from_doi_hopf(random_doi_hopf(dims, fields[tag], seed)),
                          id="doihopf%s-%s-seed%d" % ("".join(map(str, dims)), tag, seed))
             for dims, tag, seed in RANDOM_DOI_HOPF]
 
@@ -72,8 +71,8 @@ ALL_SIDES = ConstraintSet(right_A_linear=True, left_A_linear=True,
 
 @pytest.mark.parametrize("e", ENTWININGS)
 def test_entwining_spaces_match_probing(e):
-    ac, ca = std_object_AC(e, validate=False), std_object_CA(e, validate=False)
-    csa, asc = std_object_CstarA(e, validate=False), std_object_AstarC(e, validate=False)
+    ac, ca = std_object_AC(e), std_object_CA(e)
+    csa, asc = std_object_CstarA(e), std_object_AstarC(e)
     for x, y, cs in ((ac, csa, FROBENIUS_CS), (csa, ac, FROBENIUS_CS),
                      (ca, asc, FROBENIUS_PRIME_CS), (asc, ca, FROBENIUS_PRIME_CS),
                      (ac, ca, ENTWINED_MORPHISMS), (ca, ac, ENTWINED_MORPHISMS)):
@@ -132,7 +131,7 @@ def test_hom_basis_with_every_side_matches_probing():
     the structure maps form a valid object, so mixed objects do here."""
     for _, field in FIELDS:
         for _, e in corpus_entwinings(field):
-            ac, ca = std_object_AC(e, validate=False), std_object_CA(e, validate=False)
+            ac, ca = std_object_AC(e), std_object_CA(e)
             x = EntwinedObject("AC+", ac.dim, ac.act, ac.coact, ac.lact, ca.lcoact)
             y = EntwinedObject("CA+", ca.dim, ca.act, ca.coact, ac.lact, ca.lcoact)
             assert homspaces.hom_basis(e, x, y, ALL_SIDES) == ref.hom_basis(e, x, y, ALL_SIDES)
@@ -153,7 +152,7 @@ def test_morphism_ok_is_membership_in_the_hom_space(e):
     is read off the contraction-built space, which shares no code with the
     law evaluation morphism_ok runs."""
     f, rng = e.field, random.Random(0)
-    ac, csa = std_object_AC(e, validate=False), std_object_CstarA(e, validate=False)
+    ac, csa = std_object_AC(e), std_object_CstarA(e)
     laws = ("right_A_linear", "left_A_linear", "right_C_colinear")
     for x, y in ((ac, csa), (csa, ac)):
         flat = [[v for row in b.mat for v in row]
@@ -192,7 +191,7 @@ def _w3_verdict(ops, vec):
 # linear in e for any map R, so a doubled R, no longer a factorization,
 # checks that each R-coefficient enters the residual.
 FACTORIZATIONS = _corpus(corpus_factorizations) + [
-    pytest.param(smash.entwining_to_factorization(e.values[0], validate=False),
+    pytest.param(smash.entwining_to_factorization(e.values[0]),
                  id="from-%s" % e.id)
     for e in ENTWININGS] + [
     pytest.param(smash.Factorization(fact.b, fact.a, fact.rmap.scale(field.of(2))),

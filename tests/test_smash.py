@@ -21,9 +21,10 @@ from entwine.corpus import (
     matrix_algebra,
     trivial_algebra,
     trivial_coalgebra,
+    validate_payload,
 )
-from entwine.entwining import DoiHopfDatum, Entwining, from_doi_hopf
-from entwine.exactlin import QQ, Field, InternalCheckError, LinMap, ParseError
+from entwine.entwining import DoiHopfDatum, Entwining, check_entwining, from_doi_hopf
+from entwine.exactlin import QQ, Field, InternalCheckError, LinMap, ParseError, swap_map
 from entwine.homspaces import SearchConfig
 from entwine import ringext
 from entwine.ringext import (
@@ -54,7 +55,13 @@ from entwine.smash import (
     unit_embedding_A,
     w3_residual,
 )
-from entwine.structures import ActionData, CoactionData, check_algebra, dual_algebra
+from entwine.structures import (
+    ActionData,
+    CoactionData,
+    check_algebra,
+    check_algebra_map,
+    dual_algebra,
+)
 
 F2 = Field("Fp", 2)
 F3 = Field("Fp", 3)
@@ -66,7 +73,7 @@ def doi_hopf_kc2_entwining(field):
     d = DoiHopfDatum(h, h.algebra, h.coalgebra,
                      CoactionData("right", h.coalgebra.comult_map()),
                      ActionData("right", h.algebra.mult_map()))
-    return from_doi_hopf(d, validate=False)
+    return from_doi_hopf(d)
 
 
 def t2_algebra(field):
@@ -79,6 +86,12 @@ def doi_hopf_factorization(field):
 
 
 # --- validity and the twist axioms ---------------------------------------
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_doi_hopf_inputs_valid(field):
+    assert check_entwining(doi_hopf_kc2_entwining(field)).ok
+    assert check_factorization(doi_hopf_factorization(field)).ok
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -105,8 +118,7 @@ def test_invalid_factorization_rejected():
     rep = check_factorization(bad)
     assert not rep.ok
     assert any(v.law.startswith("factor-") for v in rep.violations)
-    with pytest.raises(ParseError):
-        smash_product(bad)
+    assert not validate_payload(bad).ok
 
 
 def test_smash_associative_unital_iff_axioms_random_F2():
@@ -121,18 +133,18 @@ def test_smash_associative_unital_iff_axioms_random_F2():
                 for _ in range(4)]
         fact = Factorization(b, a, LinMap.from_rows(F2, (2, 2), (2, 2), rows))
         ax = check_factorization(fact).ok
-        alg = check_algebra(smash_product(fact, validate=False)).ok
+        alg = check_algebra(smash_product(fact)).ok
         assert ax == alg
         seen_valid += ax
     flip = Factorization.flip(b, a)
     assert check_factorization(flip).ok
-    assert check_algebra(smash_product(flip, validate=False)).ok
+    assert check_algebra(smash_product(flip)).ok
     dh = doi_hopf_factorization(F2)
     assert check_factorization(dh).ok
-    assert check_algebra(smash_product(dh, validate=False)).ok
+    assert check_algebra(smash_product(dh)).ok
     broken = _toggle(F2, flip, 3, 0)
     assert not check_factorization(broken).ok
-    assert not check_algebra(smash_product(broken, validate=False)).ok
+    assert not check_algebra(smash_product(broken)).ok
     assert seen_valid < 200
 
 
@@ -144,6 +156,7 @@ def test_flip_smash_is_tensor_algebra(field):
         (t2_algebra(field), trivial_algebra(field)),
     ]
     for b, a in pairs:
+        assert check_factorization(Factorization.flip(b, a)).ok
         assert smash_product(Factorization.flip(b, a)) == b.tensor(a)
     four = smash_product(Factorization.flip(cyclic_group_algebra(field, 2),
                                             cyclic_group_algebra(field, 2)))
@@ -182,16 +195,18 @@ def _dictionary_entwinings(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_dictionary_round_trips(field):
     for e in _dictionary_entwinings(field):
+        assert check_entwining(e).ok
         fact = entwining_to_factorization(e)
         assert check_factorization(fact).ok
         back = factorization_to_entwining(fact, e.c)
         assert back == e
-        again = entwining_to_factorization(back, validate=False)
+        again = entwining_to_factorization(back)
         assert again.rmap == fact.rmap
 
 
 def test_dictionary_rejects_mismatched_coalgebra():
     e = Entwining.flip(cyclic_group_algebra(F2, 2), dual_numbers_coalgebra(F2))
+    assert check_entwining(e).ok
     fact = entwining_to_factorization(e)
     with pytest.raises(ParseError):
         factorization_to_entwining(fact, grouplike_coalgebra(F2, 2))
@@ -200,20 +215,32 @@ def test_dictionary_rejects_mismatched_coalgebra():
 # --- opposite duality ------------------------------------------------------
 
 
+def _checked_op_dual(fact):
+    """op_dual(fact), with both facts its docstring states checked exactly:
+    the dual is a factorization, and the leg swap is an algebra map from
+    B # A onto the opposite of the dual's smash product."""
+    dual = op_dual(fact)
+    assert check_factorization(dual, "op-dual").ok
+    swap = swap_map(fact.field, fact.b.dim, fact.a.dim)
+    assert check_algebra_map(smash_product(fact), smash_product(dual).opposite(),
+                             swap, "op-dual-iso").ok
+    return dual
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_op_dual_involution(field):
     for fact in [doi_hopf_factorization(field),
                  Factorization.flip(matrix_algebra(field, 2),
                                     cyclic_group_algebra(field, 2))]:
-        dual = op_dual(fact)
-        assert op_dual(dual) == fact
+        dual = _checked_op_dual(fact)
+        assert _checked_op_dual(dual) == fact
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_op_dual_of_flip_swaps_factors(field):
     b = matrix_algebra(field, 2)
     a = cyclic_group_algebra(field, 3)
-    assert op_dual(Factorization.flip(b, a)) == Factorization.flip(
+    assert _checked_op_dual(Factorization.flip(b, a)) == Factorization.flip(
         a.opposite(), b.opposite())
 
 
@@ -236,7 +263,7 @@ def test_gamma_matches_ring_extension_spaces(field):
                                (Factorization.flip(cyclic_group_algebra(field, 2),
                                                    cyclic_group_algebra(field, 2)),
                                 None, 4)]:
-        ext = unit_embedding_A(fact, validate=False)
+        ext = unit_embedding_A(fact)
         t = tensor_over_R(ext)
         v3 = compute_V3(fact)
         w3 = compute_W3(fact)
@@ -445,6 +472,7 @@ def _named_field(tag):
 def test_smash_over_A_frozen_verdicts(name, ftag, expected):
     field = _named_field(ftag)
     fact = _named_factorization(name, field)
+    assert check_factorization(fact).ok
     rep = smash_over_A_report(fact)
     assert _statuses(rep) == expected
     for v in rep.values():
@@ -464,6 +492,7 @@ def test_smash_over_A_frozen_verdicts(name, ftag, expected):
 def test_smash_over_B_report_via_op_dual(field):
     for name in ("flip-kc2-k", "doihopf"):
         fact = _named_factorization(name, field)
+        assert check_factorization(fact).ok
         rep = smash_over_B_report(fact)
         assert _statuses(rep) == ("yes", "yes", "yes")
         assert rep["frobenius"].question == "smash-B-frob"
@@ -486,12 +515,35 @@ def test_frobenius_routes_agree(field):
                                                 v.witness["e"]) == []
 
 
+def test_smash_iso_route_builds_the_tensor_square_once(monkeypatch):
+    """The iso route builds S (x)_R S of A -> B # A once and hands it to the
+    extension's decision, which still re-checks the extension witness."""
+    built, rechecked = [], []
+    real_tensor, real_residual = ringext.tensor_over_R, ringext.frobenius_residual
+
+    def tensor(ext):
+        built.append(ext)
+        return real_tensor(ext)
+
+    def residual(*args):
+        rechecked.append(args)
+        return real_residual(*args)
+
+    monkeypatch.setattr(ringext, "tensor_over_R", tensor)
+    monkeypatch.setattr("entwine.smash.tensor_over_R", tensor)
+    monkeypatch.setattr(ringext, "frobenius_residual", residual)
+    fact = Factorization.flip(matrix_algebra(F3, 2), cyclic_group_algebra(F3, 2))
+    assert smash_frobenius_A(fact, route="iso").status == "yes"
+    assert len(built) == 1
+    assert len(rechecked) == 1
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_unit_embedding_is_valid_extension(field):
     for fact in [doi_hopf_factorization(field),
                  Factorization.flip(matrix_algebra(field, 2),
                                     cyclic_group_algebra(field, 2))]:
-        assert check_extension(unit_embedding_A(fact, validate=False)).ok
+        assert check_extension(unit_embedding_A(fact)).ok
 
 
 @pytest.mark.parametrize("field", [QQ, F2])
@@ -514,7 +566,7 @@ def _corpus_and_derived_factorizations():
         tag = "Q" if field.kind == "Q" else "F%d" % field.p
         out += [pytest.param(fact, id="%s-%s" % (tag, name))
                 for name, fact in corpus_factorizations(field)]
-        out += [pytest.param(entwining_to_factorization(e, validate=False),
+        out += [pytest.param(entwining_to_factorization(e),
                              id="%s-from-%s" % (tag, name))
                 for name, e in corpus_entwinings(field)]
     return out
@@ -525,7 +577,7 @@ def test_smash_frobenius_agrees_with_the_extension(fact):
     """B # A over A is Frobenius exactly when the extension A -> B # A is;
     both deciders answer definitively and alike."""
     smash_v = smash_frobenius_A(fact)
-    ext_v = frobenius_check(unit_embedding_A(fact, validate=False))
+    ext_v = frobenius_check(unit_embedding_A(fact))
     assert smash_v.definitive and ext_v.definitive
     assert smash_v.status == ext_v.status
 
