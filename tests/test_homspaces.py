@@ -105,7 +105,9 @@ def test_hom_basis_doi_hopf_self_check():
     for field in (F2, F3):
         d = random_doi_hopf((2, 2, 2), field, 5)
         e = from_doi_hopf(d)
+        assert check_entwining(e).ok
         x, y = std_object_AC(e), std_object_CA(e)
+        assert check_entwined_object(e, x).ok and check_entwined_object(e, y).ok
         basis = hom_basis(e, x, y, ENTWINED_MORPHISMS)
         for b in basis:
             assert morphism_ok(e, x, y, b, ENTWINED_MORPHISMS)

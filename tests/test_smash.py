@@ -89,12 +89,6 @@ def doi_hopf_factorization(field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_doi_hopf_inputs_valid(field):
-    assert check_entwining(doi_hopf_kc2_entwining(field)).ok
-    assert check_factorization(doi_hopf_factorization(field)).ok
-
-
-@pytest.mark.parametrize("field", FIELDS)
 def test_flip_factorizations_valid(field):
     pairs = [
         (cyclic_group_algebra(field, 2), trivial_algebra(field)),
