@@ -79,9 +79,10 @@ from .exactlin import (
     field_from_dict,
     kron_vec,
 )
-from .homspaces import SearchConfig, Verdict, flat
+from .homspaces import SearchConfig, Verdict, decide_frobenius, flat
 from .ringext import (
     RingExtension,
+    _frobenius_problem,
     casimir_residual,
     compute_casimir,
     compute_expectations,
@@ -816,7 +817,15 @@ def _corpus_checks(entry: CorpusEntry, cfg: SearchConfig):
                    ("cross-check", cross),
                    ("adjunction", adjunction)]
     elif isinstance(payload, RingExtension):
-        checks.append(("ext-frob-routes", _routes_agree(frobenius_check, payload, cfg)))
+        ext = payload
+
+        def ext_routes():
+            # one S (x)_R S serves both routes
+            problem = _frobenius_problem(ext, tensor_over_R(ext), cfg)
+            return (decide_frobenius(problem, cfg, "search").status
+                    == decide_frobenius(problem, cfg, "iso").status)
+
+        checks.append(("ext-frob-routes", ext_routes))
     elif isinstance(payload, Factorization):
         fact = payload
 

@@ -12,6 +12,20 @@ laws on it.  The two search primitives share one soundness story:
   bilinear witness searches fall back to a seeded random scan and report
   "unknown" rather than overclaim.
 
+Scan order.  A scan that can be complete keeps its fixed lexicographic
+order, so its witnesses do not depend on the seed.  When it cannot, the
+invertibility search tries the seeded random points first: the invertible
+maps of a span are the complement of the determinant's zero set, so if
+there is one, a random point is one with high probability (Schwartz 1980;
+Zippel 1979), while the early lexicographic points are sparse and mostly
+singular.  The bilinear search keeps the grid first: whether
+pair(w, v) = target is solvable is not an open condition in w, and the
+sparse early grid points give sparse witnesses.  `iso_exists` adds a "no"
+certificate to the invertibility scan: if X and Y are isomorphic, then
+Hom(Y, X), End X and End Y all have the dimension of Hom(X, Y).  It is
+consulted once, when the first `trials` points have missed or an
+incomplete scan ends.
+
 Per point, both run on raw scalars.  `find_invertible_in_span` combines
 the candidate on integers (residues over F_p; over Q the basis and the
 point each scaled by a common denominator) and decides invertibility with
@@ -169,8 +183,9 @@ class Verdict:
     """Outcome of a decision question.
 
     status is "yes", "no", or "unknown"; "no" is only ever reported when the
-    search was logically complete, so it is a theorem about the input, not a
-    statement about sampling.  Witness payloads are re-verifiable data.
+    search was logically complete or a certificate (meta["certificate"])
+    proves it, so it is a theorem about the input, not a statement about
+    sampling.  Witness payloads are re-verifiable data.
     """
 
     question: str
@@ -217,7 +232,9 @@ def _random_points(field: Field, dim: int, trials: int, seed: int):
 
 
 def search_candidates(field: Field, dim: int, attempt: Callable[[list], Optional[dict]],
-                      cfg: SearchConfig, grid_values: Optional[Sequence[int]] = None):
+                      cfg: SearchConfig, grid_values: Optional[Sequence[int]] = None,
+                      random_first: bool = False,
+                      refute: Optional[Callable[[], Optional[str]]] = None):
     """Scan coefficient vectors for the candidate space, one scalar line at most
     once over F_p.
 
@@ -225,6 +242,24 @@ def search_candidates(field: Field, dim: int, attempt: Callable[[list], Optional
     marks whether a miss is exhaustive for the whole space of nonzero
     candidates up to scaling, which the caller must ensure is enough (the
     conditions have to be scale-compatible for projective completeness).
+
+    Scan order: a complete scan (modes projective-exhaustive, grid-complete,
+    single-line) enumerates in its fixed lexicographic order.  An incomplete
+    one enumerates at most `cfg.enum_budget` points; over Q the
+    `cfg.trials` seeded random points follow the grid (mode grid+random).
+    With `random_first` the random points come first instead, over F_p too
+    (mode projective-partial).  That suits a condition that holds on a
+    Zariski-open set, such as invertibility: when it holds anywhere, a
+    random point almost always hits (Schwartz 1980; Zippel 1979), while the
+    early lexicographic points are sparse and mostly fail it.
+
+    `refute`, if given, is called at most once: before the scan goes on
+    past its first `cfg.trials` points, all missed (never, for 0 trials),
+    or else at the end of an incomplete scan.  A string it returns is a
+    proof that no candidate succeeds; the scan stops with (None, True, meta)
+    and the string under meta["certificate"].  A hit within `cfg.trials`
+    points, or a complete scan of at most `cfg.trials` points, never calls
+    it.
 
     Returns (payload_or_None, complete, meta).
     """
@@ -248,15 +283,28 @@ def search_candidates(field: Field, dim: int, attempt: Callable[[list], Optional
         total = len(values) ** dim
         complete = total <= cfg.enum_budget and grid_values is not None
         meta["mode"] = "grid-complete" if complete else "grid+random"
-        grid = itertools.islice(_grid_points(field, dim, values), cfg.enum_budget)
-        source = grid if complete else itertools.chain(
-            grid, _random_points(field, dim, cfg.trials, cfg.seed))
+        source = itertools.islice(_grid_points(field, dim, values), cfg.enum_budget)
+        if not complete and not random_first:
+            source = itertools.chain(source, _random_points(field, dim, cfg.trials, cfg.seed))
+    if not complete and random_first:
+        source = itertools.chain(_random_points(field, dim, cfg.trials, cfg.seed), source)
+
+    def refuted() -> bool:
+        nonlocal refute
+        cert, refute = refute(), None
+        if cert is not None:
+            meta["certificate"] = cert
+        return cert is not None
 
     for coeffs in source:
+        if refute is not None and 0 < cfg.trials == meta["points"] and refuted():
+            return None, True, meta
         meta["points"] += 1
         hit = attempt(coeffs)
         if hit is not None:
             return hit, complete, meta
+    if refute is not None and not complete and refuted():
+        return None, True, meta
     return None, complete, meta
 
 
@@ -347,13 +395,21 @@ class _IntSpan:
 
 
 def find_invertible_in_span(field: Field, basis: Sequence[LinMap],
-                            cfg: SearchConfig):
+                            cfg: SearchConfig,
+                            refute: Optional[Callable[[], Optional[str]]] = None):
     """Search span(basis) for an invertible map.
 
     Invertibility is invariant under scaling, so projective enumeration over
     F_p is complete.  Over Q the determinant restricted to the span is a
     polynomial of degree at most n, and vanishing on the grid {0..n}^dim
     forces it to vanish identically, so a full grid miss certifies "no".
+
+    When the scan cannot be complete, the seeded random points go first:
+    the invertible maps of a span are the complement of the determinant's
+    zero set, so if there is one, a random point is one with high
+    probability, and the lexicographic points are scanned only after them.
+    Complete scans keep their fixed order and so their witnesses.
+    `refute` is a "no" certificate, consulted as `search_candidates` says.
 
     Each point is combined on integers (residues over F_p; over Q the basis
     and the point each scaled by a common denominator, which keeps the rank)
@@ -383,19 +439,49 @@ def find_invertible_in_span(field: Field, basis: Sequence[LinMap],
 
     grid = None if field.kind == "Fp" else range(n + 1)
     hit, complete, meta = search_candidates(field, len(basis), attempt, cfg,
-                                            grid_values=grid)
+                                            grid_values=grid, random_first=True,
+                                            refute=refute)
     if hit is not None:
         return "yes", hit["f"], hit["finv"], meta
     if complete:
         if field.kind == "Q" and len(basis) > 1:
-            meta["certificate"] = "determinant vanishes on a degree-covering grid"
+            meta.setdefault("certificate",
+                            "determinant vanishes on a degree-covering grid")
         return "no", None, None, meta
     return "unknown", None, None, meta
 
 
+def _hom_dim_refutation(e: Entwining, x: EntwinedObject, y: EntwinedObject,
+                        cs: ConstraintSet, hom_dim: int):
+    """A "no" certificate for X ~= Y from the dimension d = dim Hom(X, Y).
+
+    The morphisms of `cs` compose, contain the identities and contain the
+    inverse of each bijective member, so an isomorphism phi: X -> Y gives
+    linear bijections Hom(Y, X) -> Hom(X, Y), g -> phi g phi, and
+    Hom(X, X) -> Hom(X, Y), g -> phi g, and Hom(Y, Y) -> Hom(X, Y),
+    g -> g phi.  So a space among these three whose dimension is not d
+    proves X and Y not isomorphic.  Returns the check as a function that
+    gives the first mismatch, or None when all three dimensions are d.
+    """
+    def refute() -> Optional[str]:
+        for name, (a, b) in (("Y,X", (y, x)), ("X,X", (x, x)), ("Y,Y", (y, y))):
+            dim = len(hom_basis(e, a, b, cs))
+            if dim != hom_dim:
+                return "dim Hom(%s) = %d != dim Hom(X,Y) = %d" % (name, dim, hom_dim)
+        return None
+    return refute
+
+
 def iso_exists(e: Entwining, x: EntwinedObject, y: EntwinedObject,
                cs: ConstraintSet, cfg: SearchConfig = SearchConfig()) -> Verdict:
-    """Is there an isomorphism X -> Y respecting the chosen laws?"""
+    """Is there an isomorphism X -> Y respecting the chosen laws?
+
+    `find_invertible_in_span` scans Hom(X, Y), random points first when the
+    scan cannot be complete.  If the first `cfg.trials` points miss, or an
+    incomplete scan ends, it compares dim Hom(Y, X), dim End X and
+    dim End Y with dim Hom(X, Y), and a mismatch is a definitive "no"
+    whose meta["certificate"] names the two dimensions.
+    """
     q = "iso-exists"
     if x.dim != y.dim:
         return Verdict(q, "no", "dimension mismatch: %d != %d" % (x.dim, y.dim),
@@ -403,7 +489,8 @@ def iso_exists(e: Entwining, x: EntwinedObject, y: EntwinedObject,
     basis = hom_basis(e, x, y, cs)
     if not basis:
         return Verdict(q, "no", "hom space is zero", meta={"definitive": True})
-    status, fm, finv, meta = find_invertible_in_span(e.field, basis, cfg)
+    status, fm, finv, meta = find_invertible_in_span(
+        e.field, basis, cfg, refute=_hom_dim_refutation(e, x, y, cs, len(basis)))
     meta["hom_dim"] = len(basis)
     meta["definitive"] = status != "unknown"
     if status == "yes":

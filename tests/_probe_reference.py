@@ -31,8 +31,9 @@ from entwine.exactlin import (
 )
 
 
-def probe_maps(field, dom, cod, law_values):
-    """Basis of the maps X: dom -> cod whose law values are all zero.
+def probe_rows(field, dom, cod, law_values):
+    """The constraint matrix of the laws on X: dom -> cod, with one column
+    per matrix unit of X, in row-major order.
 
     `law_values(X)` returns the list of LinMaps the laws evaluate to."""
     nd, ncod = prod(dom), prod(cod)
@@ -43,16 +44,27 @@ def probe_maps(field, dom, cod, law_values):
         return [v for d in law_values(LinMap(field, dom, cod, mat))
                 for row in d.mat for v in row]
 
-    rows = hom_probe_matrix(field, nd * ncod, [op])
+    return hom_probe_matrix(field, nd * ncod, [op])
+
+
+def probe_maps(field, dom, cod, law_values):
+    """Basis of the maps X: dom -> cod whose law values are all zero."""
+    nd, ncod = prod(dom), prod(cod)
     return [LinMap(field, dom, cod, tuple(tuple(vec[r * nd:(r + 1) * nd])
                                           for r in range(ncod)))
-            for vec in nullspace(field, rows)]
+            for vec in nullspace(field, probe_rows(field, dom, cod, law_values))]
 
 
 def probe_vectors(field, n, ops):
     """Basis of the vectors killed by every operator in `ops`."""
     rows = hom_probe_matrix(field, n, [lambda t: [v for op in ops for v in op.column(t)]])
     return nullspace(field, rows)
+
+
+def hom_constraints(e, x, y, cs):
+    """The probed constraint matrix whose nullspace is Hom(X, Y)."""
+    return probe_rows(e.field, (x.dim,), (y.dim,),
+                      lambda fm: homspaces._law_values(e, x, y, fm, cs))
 
 
 def hom_basis(e, x, y, cs):

@@ -1,5 +1,5 @@
 """Acceptance gate: ten criteria, one test and one pass/fail line each, plus
-a speed guard for the witness search.
+speed guards for the witness search.
 
 Every equality here is exact (rational or modular arithmetic, tolerance 0),
 and each criterion asserts its own wall-time budget.
@@ -10,6 +10,8 @@ import json
 import random
 import time
 from contextlib import redirect_stdout
+
+import pytest
 
 from _reversed_corpus import run_reversed
 from entwine.actforget import (
@@ -48,6 +50,7 @@ from entwine.corpus import (
     matrix_algebra,
     trivial_algebra,
     unit_extension,
+    upper_triangular_algebra,
     validate_payload,
 )
 from entwine.entwining import (
@@ -68,7 +71,7 @@ from entwine.exactlin import (
     nullspace,
     solve_linear,
 )
-from entwine.homspaces import hom_basis, morphism_ok
+from entwine.homspaces import SearchConfig, hom_basis, morphism_ok
 from entwine.ringext import (
     casimir_residual,
     compute_casimir,
@@ -409,12 +412,48 @@ def test_criterion_10_corpus_run_byte_determinism(monkeypatch):
 
 
 def test_speed_guard_invertibility_search_over_q():
-    """flip(kC4, GL2) over Q, FG-frob on the iso route: the invertibility
-    search scans 6562 grid points of an 8-dimensional morphism space before
-    it hits.  Points are tested for singularity on integers and only the hit
-    is inverted; inverting every point took over 3 s."""
+    """flip(kC4, GL2) over Q, FG-frob on the iso route: the morphism space is
+    8-dimensional, so the grid cannot be scanned completely and the seeded
+    random points go first; one of them hits (the lexicographic grid hit
+    only at its 6562nd point).  Points are tested for singularity on
+    integers and only the hit is inverted; inverting every point took over
+    3 s."""
     e = Entwining.flip(cyclic_group_algebra(QQ, 4), grouplike_coalgebra(QQ, 2))
     with budget(1.5):
         v = FG_frobenius(e, route="iso")
-    assert v.status == "yes" and v.meta["points"] == 6562
+    assert v.status == "yes" and v.meta["points"] <= SearchConfig().trials
     assert frobenius_residual(e, v.witness["theta"], v.witness["z"]) == []
+
+
+def test_speed_guard_iso_routes_hit_in_the_random_phase():
+    """flip(kC4, GL3)/Q FG-frob and k -> M3/Q ext-frob on the iso route:
+    grid-first, each scanned its whole 65536-point grid before a random
+    point hit (2.5 and 4.0 s)."""
+    e = Entwining.flip(cyclic_group_algebra(QQ, 4), grouplike_coalgebra(QQ, 3))
+    with budget(1.5):
+        v = FG_frobenius(e, route="iso")
+    assert v.status == "yes" and v.meta["points"] <= SearchConfig().trials
+    assert frobenius_residual(e, v.witness["theta"], v.witness["z"]) == []
+
+    ext = unit_extension(QQ, matrix_algebra(QQ, 3))
+    with budget(1.5):
+        v = frobenius_check(ext, route="iso")
+    assert v.status == "yes" and v.meta["points"] <= SearchConfig().trials
+    assert ext_frobenius_residual(ext, tensor_over_R(ext), v.witness["nu"],
+                                  v.witness["e"]) == []
+
+
+@pytest.mark.parametrize("field,n", [(F3, 4), (QQ, 3)])
+def test_speed_guard_iso_route_refutes_by_hom_dimensions(field, n):
+    """flip(T2, GLn) FpGp-frob on the iso route, over F3 with n = 4 and over
+    Q with n = 3: no invertible bicomodule morphism exists, and the scan
+    cannot be complete (without the certificate it ended "unknown" after
+    its 65536-point budget, in about 2.7 s).  The Hom dimensions prove "no"
+    once the first `trials` points have missed."""
+    e = Entwining.flip(upper_triangular_algebra(field), grouplike_coalgebra(field, n))
+    with budget(1.5):
+        v = FprimeGprime_frobenius(e, route="iso")
+    assert v.status == "no" and v.definitive
+    assert v.meta["points"] == SearchConfig().trials
+    assert v.meta["certificate"] == (
+        "dim Hom(Y,X) = %d != dim Hom(X,Y) = %d" % (n, 3 * n))

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from _reversed_corpus import run_reversed
-from entwine import cli
+from entwine import cli, ringext
 from entwine.cli import (
     main,
     parse_structure_document,
@@ -408,6 +408,27 @@ def test_corpus_run_output_is_pinned(capsys):
     code, out, _ = run(capsys, "corpus", "run", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_RUN_SHA256
+
+
+def test_corpus_run_builds_each_tensor_square_once(capsys, monkeypatch):
+    """The ext-frob-routes check decides both routes of an extension over
+    one S (x)_R S: no extension's tensor square is built twice.  (The
+    gamma-dims and cross-check checks build those of their own A -> B # A.)"""
+    built = []
+    real_tensor = ringext.tensor_over_R
+
+    def tensor(ext):
+        built.append(ext)
+        return real_tensor(ext)
+
+    monkeypatch.setattr(ringext, "tensor_over_R", tensor)
+    monkeypatch.setattr(cli, "tensor_over_R", tensor)
+    code, out, _ = run(capsys, "corpus", "run", "--format", "json")
+    assert code == 0
+    checks = [r["check"] for r in json.loads(out)["results"]]
+    assert len(built) == (checks.count("ext-frob-routes") + checks.count("gamma-dims")
+                          + checks.count("cross-check"))
+    assert len({id(ext) for ext in built}) == len(built)
 
 
 def test_corpus_run_injected_mutation_fails(capsys):

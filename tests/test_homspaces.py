@@ -204,6 +204,73 @@ def test_grid_then_random_over_Q_is_incomplete():
     assert meta["points"] == 8 + 3  # 3^2 - 1 grid points, then 3 randoms
 
 
+def _scan(field, dim, cfg, **kwargs):
+    """The points a miss-everything scan visits, and its result."""
+    seen = []
+    result = search_candidates(field, dim, lambda c: seen.append(tuple(c)), cfg, **kwargs)
+    return seen, result
+
+
+def test_random_first_moves_the_random_points_before_an_incomplete_scan():
+    cfg = SearchConfig(trials=3)
+    grid_first, (_, complete, _) = _scan(QQ, 3, cfg)  # 26 grid points, 3 random
+    seen, (_, complete_rf, _) = _scan(QQ, 3, cfg, random_first=True)
+    assert not complete and not complete_rf
+    assert seen == grid_first[26:] + grid_first[:26]
+    # a partial projective scan has no random points unless they go first
+    cfg = SearchConfig(enum_budget=5, trials=3)
+    enumerated, _ = _scan(F3, 3, cfg)
+    seen, (_, complete, meta) = _scan(F3, 3, cfg, random_first=True)
+    assert not complete and meta["mode"] == "projective-partial"
+    assert len(enumerated) == 5 and seen[-5:] == enumerated and len(seen) > 5
+
+
+def test_random_first_keeps_a_complete_scan_in_order():
+    cfg = SearchConfig()
+    assert _scan(F3, 3, cfg, random_first=True) == _scan(F3, 3, cfg)
+    assert _scan(QQ, 2, cfg, random_first=True, grid_values=range(3)) \
+        == _scan(QQ, 2, cfg, grid_values=range(3))
+
+
+def _refute_log(cert):
+    calls = []
+
+    def refute():
+        calls.append(True)
+        return cert
+    return calls, refute
+
+
+def test_refutation_is_consulted_once_after_the_trials_points():
+    # F3, dim 4: 40 projective points, a complete scan
+    calls, refute = _refute_log(None)
+    seen, (_, complete, meta) = _scan(F3, 4, SearchConfig(trials=5), refute=refute)
+    assert calls == [True] and complete and len(seen) == 40 and "certificate" not in meta
+
+    calls, refute = _refute_log("proof")
+    seen, (hit, complete, meta) = _scan(F3, 4, SearchConfig(trials=5), refute=refute)
+    assert calls == [True] and len(seen) == meta["points"] == 5
+    assert hit is None and complete and meta["certificate"] == "proof"
+
+
+def test_refutation_waits_for_the_end_of_an_incomplete_scan_with_no_trials():
+    calls, refute = _refute_log("proof")
+    seen, (hit, complete, meta) = _scan(F3, 4, SearchConfig(enum_budget=10, trials=0),
+                                        refute=refute)
+    assert calls == [True] and len(seen) == 10
+    assert hit is None and complete and meta["certificate"] == "proof"
+
+
+def test_refutation_is_not_consulted_for_a_hit_or_a_short_complete_scan():
+    calls, refute = _refute_log("proof")
+    hit, _, meta = search_candidates(F3, 4, lambda c: "hit" if c[-1] else None,
+                                     SearchConfig(trials=5), refute=refute)
+    assert hit == "hit" and meta["points"] <= 5
+    seen, (hit, complete, meta) = _scan(F3, 4, SearchConfig(trials=40), refute=refute)
+    assert len(seen) == 40 and complete and "certificate" not in meta
+    assert calls == []
+
+
 def test_find_invertible_reports_grid_certificate_over_Q():
     # span of two rank-one maps sharing a row: never invertible
     z, o = QQ.zero, QQ.one
