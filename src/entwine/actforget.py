@@ -143,6 +143,7 @@ def Fprime_separable(e: Entwining) -> Verdict:
     return decide_normalized(
         f, "Fp-sep", v1, LinMap.zero_map(f, (nc, na), (1,)),
         lambda vt: flat(vt.compose(unit_leg)), e.c.counit, "vartheta",
+        ("vartheta-laws", "counit-normalization"),
         ("counit normalization is infeasible over the vartheta space",
          "normalized vartheta found"), {"V1prime_dim": v1.dim})
 
@@ -155,8 +156,9 @@ def Gprime_separable(e: Entwining) -> Verdict:
     return decide_normalized(
         e.field, "Gp-sep", w1, LinMap.zero_map(e.field, (nc,), (na, na)),
         lambda em: flat(m.compose(em)), flat(e.a.unit_map().compose(e.c.counit_map())),
-        "e", ("multiplication normalization is infeasible over the e space",
-              "separating e-map found"), {"W1prime_dim": w1.dim})
+        "e", ("e-laws", "mult-normalization"),
+        ("multiplication normalization is infeasible over the e space",
+         "separating e-map found"), {"W1prime_dim": w1.dim})
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ Exit codes: 0 pass / yes, 1 mathematical no or failed validation, 2 input
 or usage error, 3 verdict unknown within the configured budget, 70 internal
 error.  JSON reports carry no timing and are byte-identical for identical
 inputs, flags, and seeds; timing is printed in text mode only.
+
+A report's residual_checks are the verdict's own: the decider that found a
+witness re-checked it once, and the front end only prints the result.
 """
 
 from __future__ import annotations
@@ -38,22 +41,8 @@ import sys
 import time
 
 from . import __version__
-from .actforget import (
-    Fprime_separable,
-    FprimeGprime_frobenius,
-    Gprime_separable,
-    e_residual,
-    frobenius_prime_residual,
-    vartheta_residual,
-)
-from .coforget import (
-    F_separable,
-    FG_frobenius,
-    G_separable,
-    frobenius_residual,
-    theta_residual,
-    z_residual,
-)
+from .actforget import Fprime_separable, FprimeGprime_frobenius, Gprime_separable
+from .coforget import F_separable, FG_frobenius, G_separable
 from .corpus import (
     CorpusEntry,
     all_entries,
@@ -71,25 +60,14 @@ from .entwining import (
     std_object_CA,
     std_object_CstarA,
 )
-from .exactlin import (
-    Field,
-    InternalCheckError,
-    LinMap,
-    ParseError,
-    field_from_dict,
-    kron_vec,
-)
-from .homspaces import SearchConfig, Verdict, decide_frobenius, flat
+from .exactlin import Field, InternalCheckError, LinMap, ParseError, field_from_dict
+from .homspaces import SearchConfig, Verdict, decide_frobenius
 from .ringext import (
     RingExtension,
     _frobenius_problem,
-    casimir_residual,
     compute_casimir,
     compute_expectations,
-    expectation_residual,
     frobenius_check,
-    frobenius_residual as ext_frobenius_residual,
-    quotient_mult,
     separable_check,
     split_check,
     tensor_over_R,
@@ -102,15 +80,11 @@ from .smash import (
     cross_check_frobenius,
     entwining_to_factorization,
     factorization_to_entwining,
-    frobenius_smash_residual,
-    kappa_residual,
-    op_dual,
     smash_frobenius_A,
     smash_over_A_report,
     smash_over_B_report,
     smash_product,
     unit_embedding_A,
-    w3_residual,
 )
 from .structures import (
     ActionData,
@@ -476,87 +450,6 @@ def _emit_text(report, out, elapsed, indent=""):
 
 
 # ---------------------------------------------------------------------------
-# witness re-verification, independent of the solver path
-
-def _checked(laws: str, bad, norm: str, got, want) -> dict:
-    """A separability witness re-checked: its laws hold (`bad` is empty) and
-    its normalization `got` equals `want`."""
-    if bad:
-        raise InternalCheckError("re-verification failed: %s: %r" % (laws, bad))
-    if any(x - y for x, y in zip(got, want)):
-        raise InternalCheckError("re-verification failed: %s is nonzero" % norm)
-    return {laws: "0", norm: "0"}
-
-
-def _system_checked(bad) -> dict:
-    if bad:
-        raise InternalCheckError("Frobenius system fails %r on re-check" % bad)
-    return {"frobenius-system": "0"}
-
-
-def _reverify_entwining(question, e: Entwining, v: Verdict) -> dict:
-    if v.status != "yes":
-        return {}
-    f, na, nc = e.field, e.a.dim, e.c.dim
-    w = v.witness
-    if question == "F-sep":
-        return _checked("theta-laws", theta_residual(e, w["theta"]), "counit-normalization",
-                        flat(w["theta"].compose(e.c.comult_map())),
-                        flat(e.a.unit_map().compose(e.c.counit_map())))
-    if question == "G-sep":
-        counit_leg = LinMap.identity(f, (na,)).tensor(e.c.counit_map())
-        return _checked("z-laws", z_residual(e, w["z"]), "unit-normalization",
-                        counit_leg.with_shapes((na * nc,), (na,)).apply(w["z"]), e.a.unit)
-    if question == "Fp-sep":
-        unit_leg = LinMap.identity(f, (nc,)).tensor(LinMap.const(f, list(e.a.unit), (na,)))
-        return _checked("vartheta-laws", vartheta_residual(e, w["vartheta"]),
-                        "counit-normalization",
-                        flat(w["vartheta"].compose(unit_leg.with_shapes((nc,), (nc, na)))),
-                        e.c.counit)
-    if question == "Gp-sep":
-        return _checked("e-laws", e_residual(e, w["e"]), "mult-normalization",
-                        flat(e.a.mult_map().compose(w["e"])),
-                        flat(e.a.unit_map().compose(e.c.counit_map())))
-    if question == "FG-frob":
-        return _system_checked(frobenius_residual(e, w["theta"], w["z"]))
-    if question == "FpGp-frob":
-        return _system_checked(frobenius_prime_residual(e, w["vartheta"], w["e"]))
-    return {}
-
-
-def _reverify_extension(question, ext: RingExtension, v: Verdict) -> dict:
-    if v.status != "yes":
-        return {}
-    w = v.witness
-    if question == "ext-split":
-        return _checked("expectation-laws", expectation_residual(ext, w["nu"]),
-                        "unit-normalization", w["nu"].apply(ext.s.unit), ext.r.unit)
-    t = tensor_over_R(ext)
-    if question == "ext-sep":
-        return _checked("casimir-laws", casimir_residual(t, w["e"]), "mult-normalization",
-                        quotient_mult(t).apply(w["e"]), ext.s.unit)
-    if question == "ext-frob":
-        return _system_checked(ext_frobenius_residual(ext, t, w["nu"], w["e"]))
-    return {}
-
-
-def _reverify_smash(fact: Factorization, name, v: Verdict) -> dict:
-    if v.status != "yes":
-        return {}
-    w = v.witness
-    nb, na = fact.b.dim, fact.a.dim
-    if name == "split":
-        return _checked("kappa-laws", kappa_residual(fact, w["kappa"]), "unit-normalization",
-                        w["kappa"].apply(fact.b.unit), fact.a.unit)
-    if name == "separable":
-        mb = fact.b.mult_map().tensor(LinMap.identity(fact.field, (na,)))
-        return _checked("casimir-laws", w3_residual(fact, w["e"]), "mult-normalization",
-                        mb.with_shapes((nb, nb, na), (nb, na)).apply(w["e"]),
-                        kron_vec(fact.b.unit, fact.a.unit))
-    return _system_checked(frobenius_smash_residual(fact, w["kappa"], w["e"]))
-
-
-# ---------------------------------------------------------------------------
 # analyze
 
 def _as_entwining(kind, payload) -> Entwining:
@@ -606,52 +499,40 @@ def run_analysis(kind, payload, question, cfg, field, args):
     """Dispatch one question; returns (report dict, exit code)."""
     if question in DECIDERS:
         if question not in EXTENSION_QUESTIONS:
-            subject, reverify = _as_entwining(kind, payload), _reverify_entwining
+            subject = _as_entwining(kind, payload)
         elif kind == "ring_extension":
-            subject, reverify = payload, _reverify_extension
+            subject = payload
         else:
             raise ParseError("usage error: question %s needs a ring_extension "
                              "payload, not %s" % (question, kind))
         decide = DECIDERS[question]
         v = decide(subject, cfg) if question in FROBENIUS_QUESTIONS else decide(subject)
-        return (verdict_report(v, field, args, reverify(question, subject, v)),
-                _STATUS_EXIT[v.status])
+        return verdict_report(v, field, args, v.residual_checks), _STATUS_EXIT[v.status]
     if question in SMASH_QUESTIONS:
         fact = _as_factorization(kind, payload)
-        if question == "smash-over-A":
-            rep = smash_over_A_report(fact, cfg)
-            target = fact
-        else:
-            rep = smash_over_B_report(fact, cfg)
-            target = op_dual(fact)
-        body = {}
-        for name in ("split", "separable", "frobenius"):
-            v = rep[name]
-            body[name] = verdict_report(v, field, args,
-                                        _reverify_smash(target, name, v))
+        rep = (smash_over_A_report if question == "smash-over-A"
+               else smash_over_B_report)(fact, cfg)
+        body = {name: verdict_report(v, field, args, v.residual_checks)
+                for name, v in rep.items()}
         report = {"question": question, "verdicts": body,
                   "field": field.describe(), "seed": args.seed,
                   "tool": {"name": "entwine", "version": __version__}}
-        return report, _exit_for([rep[n].status for n in body])
+        return report, _exit_for([v.status for v in rep.values()])
     if question == "cross-check":
-        e = _as_entwining(kind, payload)
-        cc = cross_check_frobenius(e, cfg)
-        fact = entwining_to_factorization(e)
+        cc = cross_check_frobenius(_as_entwining(kind, payload), cfg)
+        entwined, extension = cc["entwined"], cc["extension"]
         report = {
             "question": "cross-check",
             "agree": cc["agree"],
-            "entwined": verdict_report(cc["entwined"], field, args,
-                                       _reverify_entwining("FG-frob", e,
-                                                           cc["entwined"])),
-            "extension": verdict_report(cc["extension"], field, args,
-                                        _reverify_smash(fact, "frobenius",
-                                                        cc["extension"])),
+            "entwined": verdict_report(entwined, field, args, entwined.residual_checks),
+            "extension": verdict_report(extension, field, args,
+                                        extension.residual_checks),
             "field": field.describe(), "seed": args.seed,
             "tool": {"name": "entwine", "version": __version__},
         }
         if not cc["agree"]:
             return report, EXIT_NO
-        statuses = [cc["entwined"].status, cc["extension"].status]
+        statuses = [entwined.status, extension.status]
         return report, EXIT_UNKNOWN if "unknown" in statuses else EXIT_PASS
     raise ParseError("usage error: unknown question %r" % (question,))
 

@@ -153,6 +153,7 @@ def F_separable(e: Entwining) -> Verdict:
         e.field, "F-sep", v1, LinMap.zero_map(e.field, (nc, nc), (na,)),
         lambda th: flat(th.compose(e.c.comult_map()).with_shapes((nc,), (na,))),
         flat(e.a.unit_map().compose(e.c.counit_map())), "theta",
+        ("theta-laws", "counit-normalization"),
         ("counit normalization is infeasible over the theta space",
          "normalized theta found"), {"V1_dim": v1.dim})
 
@@ -166,6 +167,7 @@ def G_separable(e: Entwining) -> Verdict:
         (na * nc,), (na,))
     return decide_normalized(
         f, "G-sep", w1, (f.zero,) * (na * nc), counit_leg.apply, e.a.unit, "z",
+        ("z-laws", "unit-normalization"),
         ("unit normalization is infeasible over the z space",
          "normalized integral found"), {"W1_dim": w1.dim})
 

@@ -41,8 +41,11 @@ Every decider asks its question through one of two pipelines.
 `decide_normalized` settles a separability or splitting question with one
 exact solve for a normalized element of a solution space.
 `decide_frobenius` settles a Frobenius question from a `FrobeniusProblem`:
-the bilinear search, the isomorphism route as its fallback, and a re-check
-of every witness it returns.
+the bilinear search, the isomorphism route as its fallback.  Each pipeline
+re-checks the witness it returns, once, with the question's residual
+evaluator, which tests the defining equations directly rather than the
+rows the solver used; a failure raises `InternalCheckError`.  A "yes"
+verdict names the checks its witness passed in `residual_checks`.
 """
 
 from __future__ import annotations
@@ -185,7 +188,9 @@ class Verdict:
     status is "yes", "no", or "unknown"; "no" is only ever reported when the
     search was logically complete or a certificate (meta["certificate"])
     proves it, so it is a theorem about the input, not a statement about
-    sampling.  Witness payloads are re-verifiable data.
+    sampling.  Witness payloads are re-verifiable data.  residual_checks
+    maps each check a "yes" witness passed to "0" (its residual); it is
+    empty for "no" and "unknown".
     """
 
     question: str
@@ -193,6 +198,7 @@ class Verdict:
     reason: str
     witness: dict = dc_field(default_factory=dict)
     meta: dict = dc_field(default_factory=dict)
+    residual_checks: dict = dc_field(default_factory=dict)
 
     @property
     def definitive(self) -> bool:
@@ -543,7 +549,8 @@ def solve_affine_in_span(field: Field, dim: int,
 
 def decide_normalized(field: Field, question: str, space: SolutionSpace, zero,
                       normalize: Callable[[object], Sequence], target: Sequence,
-                      key: str, reasons: tuple[str, str], meta: dict) -> Verdict:
+                      key: str, checks: tuple[str, str], reasons: tuple[str, str],
+                      meta: dict) -> Verdict:
     """Is there x in span(space.basis) with normalize(x) = target?
 
     This is how every separability and splitting question is asked: the
@@ -551,9 +558,11 @@ def decide_normalized(field: Field, question: str, space: SolutionSpace, zero,
     holds a normalized element.  `normalize` is linear and returns flat
     field values, so one exact solve decides it and the answer is always
     definitive.  `zero` is the zero element (a map, or a tuple for vector
-    spaces), standing in for an empty basis.  A found x is re-checked
-    against the laws of its space and is the witness under `key`;
-    `reasons` are the reasons of "no" and of "yes".
+    spaces), standing in for an empty basis.  A found x is the witness
+    under `key`.  It is re-checked against the laws of its space and, by
+    evaluating `normalize` on it, against `target`; `checks` names these
+    two checks, and a failure of either is an internal error.  `reasons`
+    are the reasons of "no" and of "yes".
     """
     target = list(target)
     part, _ = solve_affine_in_span(field, space.dim, lambda c: [
@@ -562,10 +571,14 @@ def decide_normalized(field: Field, question: str, space: SolutionSpace, zero,
     if part is None:
         return Verdict(question, "no", reasons[0], meta=meta)
     x = combine(field, space.basis, part, zero)
+    laws, norm = checks
     bad = space.residual(x)
     if bad:
-        raise InternalCheckError("%s witness fails %r" % (question, bad))
-    return Verdict(question, "yes", reasons[1], witness={key: x}, meta=meta)
+        raise InternalCheckError("%s witness fails %s: %r" % (question, laws, bad))
+    if any(a - b for a, b in zip(normalize(x), target)):
+        raise InternalCheckError("%s witness fails %s" % (question, norm))
+    return Verdict(question, "yes", reasons[1], witness={key: x}, meta=meta,
+                   residual_checks={laws: "0", norm: "0"})
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +708,8 @@ def decide_frobenius(problem: FrobeniusProblem, cfg: SearchConfig,
     route="iso": the problem's isomorphism route.  route="auto" searches
     first and falls back to the isomorphism route, keeping the search's
     "unknown" when that route is undecided too.  Every witness is re-checked
-    with the problem's residual; a failure is an internal error.
+    with the problem's residual; a failure is an internal error, and a pass
+    is recorded as residual_checks {"frobenius-system": "0"}.
     """
     if route not in ROUTES:
         raise ValueError("route must be auto, search, or iso")
@@ -711,9 +725,9 @@ def decide_frobenius(problem: FrobeniusProblem, cfg: SearchConfig,
         meta["definitive"] = hit is not None or complete
         if hit is not None:
             witness = problem.witness(*hit)
-            _recheck(problem, witness, "search")
             return Verdict(q, "yes", "Frobenius %s found by candidate search" % noun,
-                           witness=witness, meta=meta)
+                           witness=witness, meta=meta,
+                           residual_checks=_recheck(problem, witness, "search"))
         if complete:
             return Verdict(q, "no",
                            "candidate space scanned completely; no %s exists" % noun,
@@ -723,15 +737,16 @@ def decide_frobenius(problem: FrobeniusProblem, cfg: SearchConfig,
             return fallback
     v = problem.iso()
     if v.status == "yes":
-        _recheck(problem, v.witness, "iso")
+        v.residual_checks = _recheck(problem, v.witness, "iso")
     return fallback if v.status == "unknown" and fallback is not None else v
 
 
-def _recheck(problem: FrobeniusProblem, witness: dict, route: str):
+def _recheck(problem: FrobeniusProblem, witness: dict, route: str) -> dict:
     bad = problem.residual(witness)
     if bad:
         raise InternalCheckError("Frobenius %s from the %s route fails %r"
                                  % (problem.noun, route, bad))
+    return {"frobenius-system": "0"}
 
 
 def iso_frobenius(question: str, e: Entwining, x: EntwinedObject, y: EntwinedObject,

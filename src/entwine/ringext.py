@@ -238,6 +238,7 @@ def split_check(ext: RingExtension) -> Verdict:
     return decide_normalized(
         ext.field, "ext-split", v1, LinMap.zero_map(ext.field, (ext.s.dim,), (ext.r.dim,)),
         lambda nu: nu.apply(ext.s.unit), ext.r.unit, "nu",
+        ("expectation-laws", "unit-normalization"),
         ("no conditional expectation fixes the unit",
          "unit-fixing conditional expectation found"), {"V1_dim": v1.dim})
 
@@ -248,8 +249,8 @@ def separable_check(ext: RingExtension) -> Verdict:
     w1 = compute_casimir(t)
     return decide_normalized(
         ext.field, "ext-sep", w1, (ext.field.zero,) * t.dim, quotient_mult(t).apply,
-        ext.s.unit, "e", ("no Casimir element multiplies to the unit",
-                          "separability element found"),
+        ext.s.unit, "e", ("casimir-laws", "mult-normalization"),
+        ("no Casimir element multiplies to the unit", "separability element found"),
         {"W1_dim": w1.dim, "tensor_dim": t.dim})
 
 

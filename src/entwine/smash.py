@@ -293,6 +293,7 @@ def smash_split_A(fact: Factorization) -> Verdict:
         fact.field, "smash-A-split", v3,
         LinMap.zero_map(fact.field, (fact.b.dim,), (fact.a.dim,)),
         lambda k: k.apply(fact.b.unit), fact.a.unit, "kappa",
+        ("kappa-laws", "unit-normalization"),
         ("no commuting map B -> A fixes the unit", "unit-fixing kappa found"),
         {"V3_dim": v3.dim})
 
@@ -306,6 +307,7 @@ def smash_separable_A(fact: Factorization) -> Verdict:
     return decide_normalized(
         f, "smash-A-sep", w3, (f.zero,) * (nb * nb * na), mu.apply,
         kron_vec(fact.b.unit, fact.a.unit), "e",
+        ("casimir-laws", "mult-normalization"),
         ("no Casimir element contracts to the unit", "separability element found"),
         {"W3_dim": w3.dim})
 
@@ -407,7 +409,8 @@ def smash_over_B_report(fact: Factorization, cfg: SearchConfig = SearchConfig())
         meta = dict(v.meta)
         meta["via"] = "op-dual"
         out[key] = Verdict(v.question.replace("smash-A", "smash-B"), v.status,
-                           v.reason, witness=v.witness, meta=meta)
+                           v.reason, witness=v.witness, meta=meta,
+                           residual_checks=v.residual_checks)
     return out
 
 

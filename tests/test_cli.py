@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from _reversed_corpus import run_reversed
-from entwine import cli, ringext
+from entwine import actforget, cli, coforget, homspaces, ringext, smash
 from entwine.cli import (
     main,
     parse_structure_document,
@@ -302,6 +302,88 @@ def test_derived_factorization_failing_the_axioms_is_an_internal_error(
         code, _, err = run(capsys, "analyze", str(p), "--question", question)
         assert code == 70, question
         assert "derived factorization" in err
+
+
+# a payload each normalized question answers "yes" for over F3, and the
+# normalization check its first re-checked witness names
+_NORMALIZED = {
+    "F-sep": ("flip-k-GL2", "counit-normalization"),
+    "G-sep": ("flip-k-GL2", "unit-normalization"),
+    "Fp-sep": ("flip-k-GL2", "counit-normalization"),
+    "Gp-sep": ("flip-k-GL2", "mult-normalization"),
+    "ext-split": ("ext-k-M2", "unit-normalization"),
+    "ext-sep": ("ext-k-M2", "mult-normalization"),
+    "smash-over-A": ("fact-doihopf-kC2", "unit-normalization"),
+    "smash-over-B": ("fact-doihopf-kC2", "unit-normalization"),
+}
+
+
+@pytest.mark.parametrize("question", sorted(_NORMALIZED))
+def test_unnormalized_witness_is_an_internal_error(tmp_path, capsys, monkeypatch,
+                                                   question):
+    """A solver that returns zero coefficients gives a member of the
+    solution space that is not normalized: its re-check exits 70 and names
+    the normalization it fails."""
+    entry, check = _NORMALIZED[question]
+    real = homspaces.solve_affine_in_span
+
+    def zeros(field, dim, residual_at):
+        part, kern = real(field, dim, residual_at)
+        return (None if part is None else [field.zero] * dim), kern
+
+    monkeypatch.setattr(homspaces, "solve_affine_in_span", zeros)
+    p = export(tmp_path, entry, F3)
+    code, _, err = run(capsys, "analyze", str(p), "--question", question)
+    assert code == 70
+    assert check in err
+
+
+@pytest.mark.parametrize("question,entry", [
+    ("FG-frob", "flip-k-GL2"), ("FpGp-frob", "flip-k-GL2"), ("ext-frob", "ext-k-M2"),
+    ("smash-over-A", "fact-doihopf-kC2"), ("smash-over-B", "fact-doihopf-kC2"),
+])
+def test_frobenius_witness_failing_its_residual_is_an_internal_error(
+        tmp_path, capsys, monkeypatch, question, entry):
+    """A Frobenius witness that fails its residual exits 70.  (The iso
+    route's re-check is tested in test_homspaces.py.)"""
+    def planted(*args):
+        return ["planted-failure"]
+
+    monkeypatch.setattr(coforget, "frobenius_residual", planted)
+    monkeypatch.setattr(actforget, "frobenius_prime_residual", planted)
+    monkeypatch.setattr(ringext, "frobenius_residual", planted)
+    monkeypatch.setattr(smash, "frobenius_smash_residual", planted)
+    p = export(tmp_path, entry, F3)
+    code, _, err = run(capsys, "analyze", str(p), "--question", question)
+    assert code == 70
+    assert "planted-failure" in err
+
+
+@pytest.mark.parametrize("question,entry,name", [
+    ("ext-sep", "ext-k-M2", "tensor_over_R"),
+    ("ext-frob", "ext-k-M2", "tensor_over_R"),
+    ("smash-over-B", "fact-doihopf-kC2", "op_dual"),
+    ("cross-check", "flip-k-DN", "entwining_to_factorization"),
+])
+def test_analyze_builds_each_derived_structure_once(tmp_path, capsys, monkeypatch,
+                                                    question, entry, name):
+    """The report takes its residual checks from the verdict, so S (x)_R S,
+    the op-dual factorization or the derived factorization is built once,
+    by the decider, and not again to re-check the witness."""
+    p = export(tmp_path, entry, F3)
+    built = []
+    real = getattr(smash, name)  # smash imports tensor_over_R from ringext
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    for module in (cli, ringext, smash):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, "analyze", str(p), "--question", question)
+    assert code == 0
+    assert len(built) == 1
 
 
 # one payload of a kind each question accepts

@@ -60,24 +60,19 @@ CFG = SearchConfig(enum_budget=ARGS.enum_budget, trials=ARGS.trials, seed=ARGS.s
 
 
 def _questions(payload):
-    """(question, decide(route) -> verdict, reverify(verdict) -> dict) triples."""
+    """(question, decide(route) -> verdict) pairs."""
     if isinstance(payload, Entwining):
         e = payload
         fact = entwining_to_factorization(e)
         return [
-            ("FG-frob", lambda r: FG_frobenius(e, CFG, route=r),
-             lambda v: cli._reverify_entwining("FG-frob", e, v)),
-            ("FpGp-frob", lambda r: FprimeGprime_frobenius(e, CFG, route=r),
-             lambda v: cli._reverify_entwining("FpGp-frob", e, v)),
-            ("smash-frob", lambda r: smash_frobenius_A(fact, CFG, route=r),
-             lambda v: cli._reverify_smash(fact, "frobenius", v)),
+            ("FG-frob", lambda r: FG_frobenius(e, CFG, route=r)),
+            ("FpGp-frob", lambda r: FprimeGprime_frobenius(e, CFG, route=r)),
+            ("smash-frob", lambda r: smash_frobenius_A(fact, CFG, route=r)),
         ]
     if isinstance(payload, Factorization):
-        return [("smash-frob", lambda r: smash_frobenius_A(payload, CFG, route=r),
-                 lambda v: cli._reverify_smash(payload, "frobenius", v))]
+        return [("smash-frob", lambda r: smash_frobenius_A(payload, CFG, route=r))]
     if isinstance(payload, RingExtension):
-        return [("ext-frob", lambda r: frobenius_check(payload, CFG, route=r),
-                 lambda v: cli._reverify_extension("ext-frob", payload, v))]
+        return [("ext-frob", lambda r: frobenius_check(payload, CFG, route=r))]
     return []
 
 
@@ -88,10 +83,10 @@ def report_digests() -> dict:
     out = {}
     for tag, field in FIELDS:
         for entry in all_entries(field):
-            for question, decide, reverify in _questions(entry.payload):
+            for question, decide in _questions(entry.payload):
                 for route in ROUTES:
                     v = decide(route)
-                    report = cli.verdict_report(v, field, ARGS, reverify(v))
+                    report = cli.verdict_report(v, field, ARGS, v.residual_checks)
                     blob = json.dumps(report, sort_keys=True).encode()
                     key = "/".join((tag, entry.name, question, route))
                     out[key] = hashlib.sha256(blob).hexdigest()

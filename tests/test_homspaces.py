@@ -302,30 +302,48 @@ def _plane(residual=lambda x: []):
     return SolutionSpace([(QQ.one, QQ.zero), (QQ.zero, QQ.one)], residual)
 
 
+CHECKS = ("w-laws", "w-normalization")
+
+
 def test_decide_normalized_finds_and_names_the_witness():
     v = decide_normalized(QQ, "q", _plane(), None, lambda x: [x[0] + x[1], x[0] - x[1]],
-                          [QQ.of(2), QQ.zero], "w", ("none", "found"), {"dim": 2})
+                          [QQ.of(2), QQ.zero], "w", CHECKS, ("none", "found"), {"dim": 2})
     assert (v.status, v.reason, v.witness) == ("yes", "found", {"w": (QQ.one, QQ.one)})
     assert v.meta == {"dim": 2, "definitive": True}
+    assert v.residual_checks == {"w-laws": "0", "w-normalization": "0"}
 
 
 def test_decide_normalized_on_an_empty_space_uses_the_zero_element():
     empty = SolutionSpace([], lambda x: [])
     zero = (QQ.zero, QQ.zero)
     v = decide_normalized(QQ, "q", empty, zero, list, [QQ.zero, QQ.zero], "w",
-                          ("none", "found"), {})
+                          CHECKS, ("none", "found"), {})
     assert v.status == "yes" and v.witness == {"w": zero}
+    assert v.residual_checks == {"w-laws": "0", "w-normalization": "0"}
     v = decide_normalized(QQ, "q", empty, zero, list, [QQ.one, QQ.zero], "w",
-                          ("none", "found"), {})
+                          CHECKS, ("none", "found"), {})
     assert (v.status, v.reason, v.definitive) == ("no", "none", True)
+    assert v.residual_checks == {}
 
 
 def test_decide_normalized_rechecks_the_laws_of_its_space():
     # the basis satisfies the space's laws, the normalized combination does not
     space = _plane(lambda x: ["law"] if x == (QQ.one, QQ.one) else [])
-    with pytest.raises(InternalCheckError, match="law"):
+    with pytest.raises(InternalCheckError, match="w-laws: \\['law'\\]"):
         decide_normalized(QQ, "q", space, None, list, [QQ.one, QQ.one], "w",
-                          ("none", "found"), {})
+                          CHECKS, ("none", "found"), {})
+
+
+def test_decide_normalized_rechecks_the_normalization(monkeypatch):
+    # a solver that answers zero coefficients: a member of the space that
+    # is not normalized
+    from entwine import homspaces
+
+    monkeypatch.setattr(homspaces, "solve_affine_in_span",
+                        lambda field, dim, residual_at: ([QQ.zero] * dim, []))
+    with pytest.raises(InternalCheckError, match="q witness fails w-normalization"):
+        decide_normalized(QQ, "q", _plane(), None, list, [QQ.one, QQ.one], "w",
+                          CHECKS, ("none", "found"), {})
 
 
 # -- the Frobenius driver ------------------------------------------------------
@@ -348,9 +366,11 @@ def test_decide_frobenius_search_verdicts(route):
     assert (v.status, v.witness) == ("yes", {"w": 1, "v": 2})
     assert v.meta == {"points": 3, "U_dim": 1, "C_dim": 2, "route": "search",
                       "definitive": True}
+    assert v.residual_checks == {"frobenius-system": "0"}
     v = decide_frobenius(_problem((None, True), "yes"), SearchConfig(), route)
     assert (v.status, v.reason) == ("no", "candidate space scanned completely; "
                                           "no pair exists")
+    assert v.residual_checks == {}
 
 
 def test_decide_frobenius_falls_back_to_the_iso_route():
@@ -359,9 +379,10 @@ def test_decide_frobenius_falls_back_to_the_iso_route():
     v = decide_frobenius(_problem(undecided, "unknown"), cfg, "search")
     assert (v.status, v.reason, v.meta["definitive"]) == (
         "unknown", "search budget exhausted", False)
-    for status in ("yes", "no"):
+    for status, checks in (("yes", {"frobenius-system": "0"}), ("no", {})):
         v = decide_frobenius(_problem(undecided, status), cfg, "auto")
         assert (v.status, v.meta["route"]) == (status, "iso")
+        assert v.residual_checks == checks
     # an undecided iso route keeps the search's verdict
     v = decide_frobenius(_problem(undecided, "unknown"), cfg, "auto")
     assert (v.status, v.meta["route"]) == ("unknown", "search")

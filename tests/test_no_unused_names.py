@@ -1,6 +1,8 @@
 """No dead names in the package: every import is used, every local
 variable a function assigns is read somewhere in that function, and every
-private top-level helper is read somewhere in the package.
+private top-level helper is read somewhere in the package.  Also, the
+command line front end calls no residual evaluator: witnesses are
+re-checked where they are found.
 
 A static scan of `src/entwine/*.py` with `ast`, standing in for a linter.
 For imports and locals, names that start with "_" are exempt, as is
@@ -115,6 +117,35 @@ def orphaned_helpers(trees: dict) -> list:
                             for _, other in stmts if other is not node)):
             out.append("%s: %s" % (mod, node.name))
     return out
+
+
+def residual_uses(tree) -> list:
+    """The residual evaluators (`*_residual`) a module imports or reads as
+    an attribute."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out += ["line %d: import %s" % (node.lineno, alias.name)
+                    for alias in node.names if alias.name.endswith("_residual")]
+        elif isinstance(node, ast.Attribute) and node.attr.endswith("_residual"):
+            out.append("line %d: .%s" % (node.lineno, node.attr))
+    return out
+
+
+def test_cli_calls_no_residual_evaluator():
+    """A witness is re-checked once, by the decision pipeline that finds it
+    (`homspaces.decide_normalized`, `homspaces.decide_frobenius`); the front
+    end prints the verdict's residual_checks and evaluates none itself."""
+    assert residual_uses(ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def test_the_scan_finds_residual_evaluators():
+    tree = ast.parse(
+        "from .ringext import frobenius_residual as ext_frob, split_check\n"
+        "from . import coforget\n"
+        "bad = coforget.theta_residual\n")
+    assert residual_uses(tree) == ["line 1: import frobenius_residual",
+                                   "line 3: .theta_residual"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
