@@ -305,7 +305,7 @@ def load_structure_file(path):
             doc = json.load(fh)
     except OSError as ex:
         raise ParseError("cannot read %s: %s" % (path, ex)) from None
-    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as ex:
+    except (RecursionError, ValueError) as ex:  # bad JSON, or a number too long to read
         raise ParseError("%s is not valid JSON: %s" % (path, ex)) from None
     return parse_structure_document(doc)
 

@@ -16,11 +16,14 @@ no dense swap to compose through.  `swap_map`, `LinMap.transpose` and
 `LinMap.from_images` are regroupings too.
 
 Linear algebra runs on a plain-number kernel: compose and elimination work
-on ints mod p over F_p and on Fractions over Q, with no FpElement inside
-their loops.  Elimination reduces sparse rows one at a time into the
-reduced row echelon form, which is unique for the row space, so `rref`,
-`solve_linear`, `nullspace`, `LinMap.inverse` and `LinMap.rank` return
-the same bases whatever order the rows come in.
+on raw scalars, ints mod p over F_p and Fractions over Q, with no FpElement
+inside their loops.  That layout stays in this module: other modules hand
+in field elements (or raw scalars, where a function says so) and get field
+elements back, or integer vectors from `integer_vectors`.  Elimination
+reduces sparse rows one at a time into the reduced row echelon form, which
+is unique for the row space, so `rref`, `solve_linear`, `nullspace`,
+`LinMap.inverse` and `LinMap.rank` return the same bases whatever order
+the rows come in.
 
 Solution spaces of linear laws in an unknown map X are assembled by
 `LinearLaws`: every law is a sum of terms L . (id (x) X (x) id) . R with
@@ -34,8 +37,11 @@ elimination on integers (Bareiss 1968: each step divides exactly by the
 previous pivot, so entries stay minors of the matrix and no Fraction is
 built).  Both stop at the first column without a pivot.
 
-Solvers return exact answers and verify them by substitution before
-returning; a failed substitution is an internal error, never a verdict.
+Every solution is read off that form by one routine, `_solve`, which
+`solve_linear` (so also `nullspace`) and `LinearLaws.kernel` call: the
+kernel basis and the particular solution.  It substitutes each of them
+into every row before returning, and a failed substitution is an internal
+error, never a verdict.
 """
 
 from __future__ import annotations
@@ -230,7 +236,10 @@ class Field:
             raise ParseError("malformed scalar %r" % (s,))
         s = s.strip()
         num, _, den = s.partition("/")
-        a, b = int(num), int(den) if den else 1
+        try:
+            a, b = int(num), int(den) if den else 1
+        except ValueError as ex:  # past the interpreter's int-conversion limit
+            raise ParseError("scalar of %d characters: %s" % (len(s), ex)) from None
         if b == 0:
             raise ParseError("zero denominator in %r" % (s,))
         if self.kind == "Q":
@@ -389,17 +398,28 @@ def _field_rows(field: Field, rows: list[list]) -> tuple[tuple, ...]:
     return tuple(tuple(v if v else zero for v in row) for row in rows)
 
 
+def integer_vectors(field: Field, vecs: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Flat vectors of field elements -> (lists of ints, d) with vecs = ints / d:
+    residues and d = 1 over F_p; over Q, the vectors scaled by the least
+    common denominator d of all their entries."""
+    p = _modulus(field)
+    if p:
+        return [_raw_line(p, v) for v in vecs], 1
+    d = math.lcm(*(x.denominator for v in vecs for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vecs], d
+
+
 def _sparse(p: int, row: Sequence) -> dict:
-    """Dense row of field elements -> sparse raw row."""
+    """Dense row of field elements or raw scalars -> sparse raw row."""
     return {k: v for k, v in enumerate(_raw_line(p, row)) if v}
 
 
-def _dense(field: Field, row: dict, n: int) -> list:
-    """Sparse raw row -> dense list of field elements."""
+def _dense(field: Field, row: dict, n: int) -> tuple:
+    """Sparse raw row -> dense tuple of field elements."""
     raw = [0] * n
     for k, v in row.items():
         raw[k] = v
-    return list(_field_rows(field, [raw])[0])
+    return _field_rows(field, [raw])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -584,22 +604,23 @@ class LinMap:
                             for r in _regroup_offsets(shape, cod)))
 
     def rank(self) -> int:
-        _, pivots = rref(self.field, [list(r) for r in self.mat])
-        return len(pivots)
+        p = _modulus(self.field)
+        return len(_echelon(p, [_sparse(p, r) for r in self.mat]))
 
     def inverse(self) -> Optional["LinMap"]:
-        """Exact two-sided inverse, or None if not square/invertible."""
+        """Exact two-sided inverse, or None if not square/invertible: the
+        reduced echelon form of [M | I] is [I | M^-1] exactly when M is."""
         n = self.dim_dom
         if n != self.dim_cod:
             return None
-        one, zero = self.field.one, self.field.zero
-        aug = [list(row) + [one if i == j else zero for j in range(n)]
-               for i, row in enumerate(self.mat)]
-        red, pivots = rref(self.field, aug)
-        if pivots != list(range(n)):
+        p = _modulus(self.field)
+        one = 1 if p else Fraction(1)
+        basis = _echelon(p, [{**_sparse(p, row), n + i: one}
+                             for i, row in enumerate(self.mat)])
+        if sorted(basis) != list(range(n)):
             return None
-        inv = tuple(tuple(red[i][n:]) for i in range(n))
-        return LinMap(self.field, self.cod, self.dom, inv)
+        return LinMap(self.field, self.cod, self.dom, _field_rows(
+            self.field, [[basis[i].get(n + j, 0) for j in range(n)] for i in range(n)]))
 
 
 def _regroup_offsets(shape: tuple, order: tuple) -> list:
@@ -701,6 +722,29 @@ def _residual(p: int, row: dict, vec: dict):
     return acc % p if p else acc
 
 
+def _solve(p: int, rows: Sequence[dict], n: int):
+    """Solve sparse raw `rows` in the unknowns 0..n-1, the right-hand side in
+    column n (absent from a homogeneous system).
+
+    Returns (particular, kernel) as sparse raw vectors, both read off the
+    reduced echelon form: `particular` is None when infeasible, else the
+    solution with every free unknown 0; `kernel` is `_kernel`'s basis.
+    Before returning, each is substituted into every row, the particular
+    solution x as (x, -1), and a nonzero residual is an internal error.
+    """
+    basis = _echelon(p, rows)
+    kernel = _kernel(p, basis, n)
+    checks = [(v, "kernel vector") for v in kernel]
+    particular = None
+    if n not in basis:
+        particular = {c: row[n] for c, row in basis.items() if n in row}
+        checks.append(({**particular, n: -1}, "particular solution"))
+    for vec, what in checks:
+        if any(_residual(p, row, vec) for row in rows):
+            raise InternalCheckError("%s failed substitution" % what)
+    return particular, kernel
+
+
 # ---------------------------------------------------------------------------
 # solving
 
@@ -715,7 +759,7 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     p = _modulus(field)
     basis = _echelon(p, [_sparse(p, r) for r in rows])
     pivots = sorted(basis)
-    return [_dense(field, basis[c], ncols) for c in pivots], pivots
+    return [list(_dense(field, basis[c], ncols)) for c in pivots], pivots
 
 
 def is_singular(field: Field, rows: Sequence[Sequence]) -> bool:
@@ -789,56 +833,23 @@ def _singular_bareiss(m: list[list[int]]) -> bool:
 def solve_linear(field: Field, rows: Sequence[Sequence], rhs: Sequence):
     """Solve M x = b exactly.
 
-    Returns (particular, kernel_basis): `particular` is None when infeasible,
-    and `kernel_basis` spans the solution set of M x = 0 either way.  Both
-    are verified by substitution before returning.
+    Entries of M and b may be field elements or raw scalars: ints (any
+    residue) over F_p, ints or Fractions over Q.  Returns (particular,
+    kernel_basis) in field elements: `particular` is None when infeasible,
+    else the solution with every free unknown 0, and `kernel_basis` spans
+    the solution set of M x = 0 either way.  `_solve` verifies both by
+    substitution before returning.
     """
-    rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != ncols:
-            raise ShapeError("ragged matrix")
+    if any(len(row) != ncols for row in rows):
+        raise ShapeError("ragged matrix")
     if len(rhs) != len(rows):
         raise ShapeError("rhs length %d != row count %d" % (len(rhs), len(rows)))
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug) if rows else ([], [])
-    feasible = ncols not in pivots
-    free = [c for c in range(ncols) if c not in pivots]
-
-    kernel = []
-    pivot_at = {c: i for i, c in enumerate(pivots) if c < ncols}
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for c, i in pivot_at.items():
-            v[c] = -red[i][f]
-        kernel.append(tuple(v))
-
-    particular = None
-    if feasible:
-        x = [field.zero] * ncols
-        for c, i in pivot_at.items():
-            x[c] = red[i][ncols]
-        particular = tuple(x)
-
-    # exact substitution check: solver output is never trusted blindly
-    def residual_ok(x, want_rhs):
-        for row, b in zip(rows, want_rhs):
-            acc = field.zero
-            for a, xi in zip(row, x):
-                if a and xi:
-                    acc = acc + a * xi
-            if acc != b:
-                return False
-        return True
-
-    zero_rhs = [field.zero] * len(rows)
-    if particular is not None and not residual_ok(particular, rhs):
-        raise InternalCheckError("particular solution failed substitution")
-    for v in kernel:
-        if not residual_ok(v, zero_rhs):
-            raise InternalCheckError("kernel vector failed substitution")
-    return particular, kernel
+    p = _modulus(field)
+    particular, kernel = _solve(
+        p, [_sparse(p, list(row) + [b]) for row, b in zip(rows, rhs)], ncols)
+    return (None if particular is None else _dense(field, particular, ncols),
+            [_dense(field, v, ncols) for v in kernel])
 
 
 def nullspace(field: Field, rows: Sequence[Sequence]) -> list[tuple]:
@@ -857,9 +868,7 @@ def in_span(field: Field, basis: Sequence[Sequence], vec: Sequence) -> bool:
     """Whether vec lies in the span of `basis` (by exact solve)."""
     if not basis:
         return vec_is_zero(vec)
-    cols = [list(b) for b in basis]
-    rows = [[cols[j][i] for j in range(len(basis))] for i in range(len(vec))]
-    part, _ = solve_linear(field, rows, list(vec))
+    part, _ = solve_linear(field, list(zip(*basis)), vec)
     return part is not None
 
 
@@ -976,11 +985,8 @@ class LinearLaws:
         """
         p = _modulus(self.field)
         n = self.dom * self.cod
-        vecs = _kernel(p, _echelon(p, self.rows), n)
-        for v in vecs:
-            if any(_residual(p, row, v) for row in self.rows):
-                raise InternalCheckError("kernel vector failed substitution into the laws")
-        return [tuple(_dense(self.field, v, n)) for v in vecs]
+        _, vecs = _solve(p, self.rows, n)
+        return [_dense(self.field, v, n) for v in vecs]
 
     def maps(self, dom, cod) -> list[LinMap]:
         """The kernel as maps between the tensor shapes `dom` and `cod`."""

@@ -26,16 +26,19 @@ Hom(Y, X), End X and End Y all have the dimension of Hom(X, Y).  It is
 consulted once, when the first `trials` points have missed or an
 incomplete scan ends.
 
-Per point, both run on raw scalars.  `find_invertible_in_span` combines
-the candidate on integers (residues over F_p; over Q the basis and the
-point each scaled by a common denominator) and decides invertibility with
+Per point, both run on raw scalars, in the integer form
+`exactlin.integer_vectors` gives (residues over F_p; over Q the vectors
+scaled by a common denominator).  `find_invertible_in_span` combines the
+candidate on integers and decides invertibility with
 `exactlin.is_singular`, without inverting; only the hit is built as a map
 and inverted.  A Frobenius search solves, at each candidate w, the laws
 pair(w, v) = target for the unknown v, where `pair` is bilinear:
-`BilinearSystem` tabulates pair on basis pairs once and combines each
-point's system from the table on integers.  Before a complete scan says
-"no", one scanned point's system is rebuilt by evaluating the laws
-directly, and a mismatch is an internal error.
+`BilinearSystem` tabulates pair on basis pairs once, combines each point's
+rows from the table on integers and hands them to `solve_linear` as they
+are (unreduced ints over F_p, Fractions over Q), with no field element
+built per point.  Before a complete scan says "no", one scanned point's
+system is rebuilt by evaluating the laws directly, and a mismatch is an
+internal error.
 
 Every decider asks its question through one of two pipelines.
 `decide_normalized` settles a separability or splitting question with one
@@ -58,7 +61,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exactlin import (
-    GF,
     Field,
     InternalCheckError,
     LinearLaws,
@@ -66,6 +68,8 @@ from .exactlin import (
     ParseError,
     SolutionSpace,
     Term,
+    basis_vec,
+    integer_vectors,
     is_singular,
     solve_linear,
 )
@@ -315,28 +319,12 @@ def search_candidates(field: Field, dim: int, attempt: Callable[[list], Optional
 
 
 def combine_in_span(field: Field, basis: Sequence[LinMap], coeffs: Sequence) -> LinMap:
+    """sum coeffs_i basis_i for a nonempty basis of maps of one shape."""
     b0 = basis[0]
-    rows, cols = len(b0.mat), len(b0.mat[0])
-    acc = [[field.zero] * cols for _ in range(rows)]
-    for s, b in zip(coeffs, basis):
-        if not s:
-            continue
-        for r, row in enumerate(b.mat):
-            arow = acc[r]
-            for c, v in enumerate(row):
-                if v:
-                    arow[c] = arow[c] + s * v
-    return LinMap(field, b0.dom, b0.cod, tuple(tuple(r) for r in acc))
-
-
-def combine_vec(field: Field, basis: Sequence[Sequence], coeffs: Sequence,
-                length: int) -> list:
-    """sum coeffs_i basis_i for flat vectors of the given length."""
-    out = [field.zero] * length
-    for s, vec in zip(coeffs, basis):
-        if s:
-            out = [x + s * y for x, y in zip(out, vec)]
-    return out
+    vec = combine(field, [flat(b) for b in basis], coeffs)
+    n = b0.dim_dom
+    return LinMap(field, b0.dom, b0.cod,
+                  tuple(vec[r * n:(r + 1) * n] for r in range(b0.dim_cod)))
 
 
 def combine(field: Field, basis: Sequence, coeffs: Sequence, zero=None):
@@ -346,31 +334,16 @@ def combine(field: Field, basis: Sequence, coeffs: Sequence, zero=None):
         return zero
     if isinstance(basis[0], LinMap):
         return combine_in_span(field, basis, coeffs)
-    return tuple(combine_vec(field, basis, coeffs, len(basis[0])))
+    out = [field.zero] * len(basis[0])
+    for s, vec in zip(coeffs, basis):
+        if s:
+            out = [x + s * y if y else x for x, y in zip(out, vec)]
+    return tuple(out)
 
 
 def flat(lm: LinMap) -> list:
     """The entries of a map, row by row."""
     return [v for row in lm.mat for v in row]
-
-
-def _integers(field: Field, vecs: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Flat vectors of field elements -> (lists of ints, d) with vecs = ints / d:
-    residues and d = 1 over F_p; over Q, the vectors scaled by the least
-    common denominator d of all their entries."""
-    if field.kind == "Fp":
-        return [[x.v for x in v] for v in vecs], 1
-    d = math.lcm(*(x.denominator for v in vecs for x in v))
-    return [[x.numerator * (d // x.denominator) for x in v] for v in vecs], d
-
-
-def _int_combination(coeffs: Sequence[int], vecs: Sequence[Sequence[int]],
-                     length: int) -> list[int]:
-    acc = [0] * length
-    for s, vec in zip(coeffs, vecs):
-        if s:
-            acc = [a + s * x for a, x in zip(acc, vec)]
-    return acc
 
 
 class _IntSpan:
@@ -430,10 +403,10 @@ def find_invertible_in_span(field: Field, basis: Sequence[LinMap],
     if basis[0].dim_cod != n:
         return "no", None, None, {"mode": "non-square", "points": 0}
 
-    span = _IntSpan(_integers(field, [flat(b) for b in basis])[0], n * n)
+    span = _IntSpan(integer_vectors(field, [flat(b) for b in basis])[0], n * n)
 
     def attempt(coeffs):
-        (ints,), _ = _integers(field, [coeffs])
+        (ints,), _ = integer_vectors(field, [coeffs])
         acc = span.at(ints)
         if is_singular(field, [acc[r * n:(r + 1) * n] for r in range(n)]):
             return None
@@ -537,13 +510,7 @@ def solve_affine_in_span(field: Field, dim: int,
     rows, rhs = _affine_system(field, dim, residual_at)
     if not rows:
         # no conditions at all: everything solves
-        zero, one = field.zero, field.one
-        kern = []
-        for j in range(dim):
-            v = [zero] * dim
-            v[j] = one
-            kern.append(tuple(v))
-        return [zero] * dim, kern
+        return [field.zero] * dim, [basis_vec(field, dim, j) for j in range(dim)]
     return solve_linear(field, rows, rhs)
 
 
@@ -615,27 +582,24 @@ class BilinearSystem:
         row = self._table.get(i)
         if row is None:
             vals = [x for v in self.unknowns for x in self.pair(self.cands[i], v)]
-            (ints,), d = _integers(self.field, [vals])
+            (ints,), d = integer_vectors(self.field, [vals])
             row = self._table[i] = (ints, d)
         return row
 
     def tabulated(self, coeffs: Sequence):
-        """(rows, rhs) of the system at a point, from the table."""
+        """(rows, rhs) of the system at a point, from the table; the rows are
+        raw scalars (unreduced ints over F_p, Fractions over Q)."""
         f = self.field
         nv, m = len(self.unknowns), len(self.target)
-        (ints,), d = _integers(f, [coeffs])
+        (ints,), d = integer_vectors(f, [coeffs])
         used = [(s, self._row(i)) for i, s in enumerate(ints) if s]
         den = math.lcm(*(rd for _, (_, rd) in used))
-        acc = _int_combination([s * (den // rd) for s, (_, rd) in used],
-                               [r for _, (r, _) in used], nv * m)
-        if f.kind == "Fp":
-            cls = GF(f.p)
-            vals = [cls(x) for x in acc]
-        else:
+        acc = _IntSpan([r for _, (r, _) in used], nv * m).at(
+            [s * (den // rd) for s, (_, rd) in used])
+        if f.kind == "Q":
             den *= d
-            vals = [Fraction(x, den) for x in acc]
-        rows = [vals[r::m] for r in range(m)]
-        return rows, list(self.target)
+            acc = [Fraction(x, den) for x in acc]
+        return [acc[r::m] for r in range(m)], list(self.target)
 
     def probed(self, coeffs: Sequence):
         """(rows, rhs) of the system at a point, by evaluating the laws."""

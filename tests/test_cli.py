@@ -73,6 +73,24 @@ def test_validate_malformed_scalar(tmp_path, capsys):
     assert "algebra.unit[0]" in err
 
 
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+@pytest.mark.parametrize("literal,needle", [
+    ('"%s"' % ("7" * 5000), "algebra.unit[0]"),
+    ("7" * 5000, "is not valid JSON"),
+], ids=["string", "number"])
+def test_validate_oversized_scalar_is_bad_input(tmp_path, capsys, field, literal, needle):
+    """A scalar past the interpreter's 4,300-digit limit on int conversion,
+    as a string or as a bare JSON number, is bad input, not an internal
+    error."""
+    p = export(tmp_path, "kC2", field)
+    doc = json.loads(p.read_text())
+    doc["algebra"]["unit"][0] = "PLACEHOLDER"
+    p.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert needle in err
+
+
 @pytest.mark.parametrize("mangle,needle", [
     (lambda d: d.pop("field"), "field"),
     (lambda d: d.update(algebra={"mult": [], "unit": []}), "exactly one"),

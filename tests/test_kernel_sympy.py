@@ -1,12 +1,14 @@
 """The exact elimination kernel against sympy's, over Q and GF(p).
 
-`rref`, `nullspace`, `LinMap.inverse`, `LinMap.rank` and `is_singular` are compared with
-sympy's DomainMatrix on random matrices over Q and over GF(p) for p = 2, 3,
-7 and the prime 2^61 - 1 just below the supported bound.  The reduced row
-echelon form is unique, so it must agree exactly; the nullspace basis must
-be the one read off that form (free unknown 1, pivots from the form), which
-sympy's own basis spans but scales differently over GF(p).  sympy is a
-test-only dependency: without it these tests are skipped.
+`rref`, `solve_linear`, `nullspace`, `LinMap.inverse`, `LinMap.rank` and
+`is_singular` are compared with sympy's DomainMatrix on random matrices
+over Q and over GF(p) for p = 2, 3, 7 and the prime 2^61 - 1 just below
+the supported bound.  The reduced row echelon form is unique, so it must
+agree exactly; the nullspace basis must be the one read off that form
+(free unknown 1, pivots from the form), which sympy's own basis spans but
+scales differently over GF(p), and so must the particular solution (free
+unknowns 0).  sympy is a test-only dependency: without it these tests are
+skipped.
 """
 
 from fractions import Fraction
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entwine.exactlin import QQ, Field, LinMap, is_singular, nullspace, rref
+from entwine.exactlin import (QQ, Field, LinMap, is_singular, nullspace, rref,
+                              solve_linear)
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import GF as SymGF  # noqa: E402
@@ -92,6 +95,44 @@ def test_nullspace_matches_sympy(case):
     if got:
         product = to_sympy(field, rows) * to_sympy(field, [list(v) for v in got]).transpose()
         assert product.is_zero_matrix
+
+
+def raw(field, rows):
+    """The same matrix in raw scalars: unreduced ints over GF(p); over Q,
+    ints where an entry is integral and Fractions elsewhere."""
+    if field.kind == "Q":
+        return [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+    return [[x.v + field.p * ((i + j) % 3 - 1) for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_solve_linear_matches_sympy(case):
+    """M x = b for b the last column of a drawn matrix: feasibility, the
+    particular solution (every free unknown 0) and the kernel basis are
+    read off sympy's reduced echelon form of [M | b], with the entries
+    given as field elements and as raw scalars."""
+    field, aug = case
+    ncols = len(aug[0]) - 1
+    red, pivots = sympy_rref(field, aug)
+    part = None
+    if ncols not in pivots:
+        part = [field.zero] * ncols
+        for row, c in zip(red, pivots):
+            part[c] = row[ncols]
+        part = tuple(part)
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[f] = field.one
+        for row, c in zip(red, pivots):
+            if c < ncols:
+                vec[c] = -row[f]
+        kernel.append(tuple(vec))
+    for rows in (aug, raw(field, aug)):
+        assert solve_linear(field, [r[:-1] for r in rows], [r[-1] for r in rows]) \
+            == (part, kernel)
 
 
 @settings(max_examples=100, deadline=None)

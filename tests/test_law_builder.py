@@ -42,6 +42,8 @@ from entwine.exactlin import (
     Term,
     basis_vec,
     in_span,
+    nullspace,
+    solve_linear,
     vec_is_zero,
 )
 from entwine.homspaces import ENTWINED_MORPHISMS, ConstraintSet
@@ -283,13 +285,37 @@ def test_commutant_of_a_matrix():
         ((1, 0), (0, 0)), ((0, 0), (0, 1))]
 
 
-def test_kernel_is_checked_by_substitution(monkeypatch):
+# M = [[1, 1], [0, 1]] over Q: M x = (1, 1) has the one solution x = (0, 1)
+_M = [[QQ.of(1), QQ.of(1)], [QQ.zero, QQ.of(1)]]
+
+
+def _laws_kernel():
+    laws = LinearLaws(QQ, 1, 2)
+    laws.add(Term(left=LinMap.from_rows(QQ, (2,), (2,), _M)))
+    return laws.kernel()
+
+
+@pytest.mark.parametrize("solve,bad", [
+    pytest.param(_laws_kernel, "kernel vector", id="laws-kernel"),
+    pytest.param(lambda: solve_linear(QQ, _M, [QQ.one, QQ.one]), "kernel vector",
+                 id="solve_linear-kernel"),
+    pytest.param(lambda: nullspace(QQ, _M), "kernel vector", id="nullspace-kernel"),
+    pytest.param(lambda: solve_linear(QQ, _M, [QQ.one, QQ.one]), "particular solution",
+                 id="solve_linear-particular"),
+])
+def test_kernel_is_checked_by_substitution(monkeypatch, solve, bad):
+    """Every exact solve goes through one substitution check: a kernel
+    vector or a particular solution that does not solve the system is an
+    internal error, whichever entry point asked."""
     from entwine import exactlin
 
-    a = LinMap.from_rows(QQ, (2,), (2,), [[QQ.of(1), QQ.of(1)], [QQ.zero, QQ.of(1)]])
-    laws = LinearLaws(QQ, 1, 2)
-    laws.add(Term(left=a))
-    # a kernel routine that returns a non-solution must be caught
-    monkeypatch.setattr(exactlin, "_kernel", lambda p, basis, n: [{0: QQ.one}])
-    with pytest.raises(InternalCheckError):
-        laws.kernel()
+    if bad == "kernel vector":
+        monkeypatch.setattr(exactlin, "_kernel", lambda p, basis, n: [{0: QQ.one}])
+    else:
+        # every right-hand side entry (column 2) of the echelon form off by one
+        real = exactlin._echelon
+        monkeypatch.setattr(exactlin, "_echelon", lambda p, rows: {
+            c: {k: v + 1 if k == 2 else v for k, v in row.items()}
+            for c, row in real(p, rows).items()})
+    with pytest.raises(InternalCheckError, match=bad):
+        solve()

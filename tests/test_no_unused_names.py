@@ -2,7 +2,8 @@
 variable a function assigns is read somewhere in that function, and every
 private top-level helper is read somewhere in the package.  Also, the
 command line front end calls no residual evaluator: witnesses are
-re-checked where they are found.
+re-checked where they are found; and no module but `exactlin` knows how
+scalars are stored.
 
 A static scan of `src/entwine/*.py` with `ast`, standing in for a linter.
 For imports and locals, names that start with "_" are exempt, as is
@@ -130,6 +131,43 @@ def residual_uses(tree) -> list:
         elif isinstance(node, ast.Attribute) and node.attr.endswith("_residual"):
             out.append("line %d: .%s" % (node.lineno, node.attr))
     return out
+
+
+SCALAR_TYPES = {"GF", "FpElement"}
+SCALAR_ATTRS = {"v", "numerator", "denominator"}
+
+
+def scalar_layout_uses(tree) -> list:
+    """Where a module knows how scalars are stored: it imports or reads `GF`
+    or `FpElement`, or reads `.v`, `.numerator` or `.denominator`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out += ["line %d: import %s" % (node.lineno, alias.name)
+                    for alias in node.names if alias.name in SCALAR_TYPES]
+        elif isinstance(node, ast.Attribute) and node.attr in SCALAR_TYPES | SCALAR_ATTRS:
+            out.append("line %d: .%s" % (node.lineno, node.attr))
+    return out
+
+
+def test_only_exactlin_knows_the_scalar_layout():
+    """Residues mod p and Fractions are `exactlin`'s business: the other
+    modules hand it field elements or raw scalars and get field elements
+    or integer vectors back."""
+    uses = {p.name: scalar_layout_uses(ast.parse(p.read_text()))
+            for p in MODULES if p.name != "exactlin.py"}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_the_scan_finds_scalar_layout_uses():
+    tree = ast.parse(
+        "from .exactlin import GF, Field\n"
+        "from . import exactlin\n"
+        "cls = exactlin.FpElement\n"
+        "ints = [x.v for x in row] + [q.numerator // q.denominator for q in row]\n")
+    assert scalar_layout_uses(tree) == ["line 1: import GF", "line 3: .FpElement",
+                                        "line 4: .v", "line 4: .numerator",
+                                        "line 4: .denominator"]
 
 
 def test_cli_calls_no_residual_evaluator():
