@@ -328,9 +328,9 @@ def dual_basis_AC(e: Entwining, theta: LinMap, z: Sequence) -> tuple[DualBasis, 
 
     functionals = []
     elements = []
+    rows = p_map.mat  # row alpha * nc + j of P, for alpha in A
     for j in range(nc):
-        mat = tuple(tuple(p_map.mat[alpha * nc + j]) for alpha in range(na))
-        functionals.append(LinMap(f, (na, nc), (na,), mat))
+        functionals.append(LinMap(f, (na, nc), (na,), rows[j::nc]))
         elements.append(tuple(kron_vec(list(e.a.unit), basis_vec(f, nc, j))))
 
     ok = p_map == LinMap.identity(f, (na * nc,)).with_shapes((na, nc), (na, nc))

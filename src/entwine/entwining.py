@@ -65,7 +65,7 @@ class Entwining:
     def psi_entry(self, a2: int, c2: int, c: int, a: int):
         """Coefficient of e_{a2} (x) e_{c2} in psi(e_c (x) e_a)."""
         nc, na = self.c.dim, self.a.dim
-        return self.psi.mat[a2 * nc + c2][c * na + a]
+        return self.psi.entry(a2 * nc + c2, c * na + a)
 
 
 def check_entwining(e: Entwining, subject: str = "entwining") -> ValidationReport:

@@ -1,8 +1,8 @@
-"""Exact scalars and dense linear algebra over Q and F_p.
+"""Exact scalars and sparse linear algebra over Q and F_p.
 
 Everything else in this package reduces to the two primitives defined here:
 `Field`, a handle whose elements support +, -, *, / exactly, and `LinMap`,
-a dense matrix tagged with the tensor-factor shapes of its domain and
+a linear map tagged with the tensor-factor shapes of its domain and
 codomain.  Tensor legs are flattened row-major: the flat index of
 (i_1, ..., i_k) with shape (d_1, ..., d_k) is ((i_1*d_2 + i_2)*d_3 + ...).
 
@@ -15,15 +15,17 @@ basis.  A swap next to another factor is a regroup of that factor, with
 no dense swap to compose through.  `swap_map`, `LinMap.transpose` and
 `LinMap.from_images` are regroupings too.
 
-Linear algebra runs on a plain-number kernel: compose and elimination work
-on raw scalars, ints mod p over F_p and Fractions over Q, with no FpElement
-inside their loops.  That layout stays in this module: other modules hand
-in field elements (or raw scalars, where a function says so) and get field
-elements back, or integer vectors from `integer_vectors`.  Elimination
-reduces sparse rows one at a time into the reduced row echelon form, which
-is unique for the row space, so `rref`, `solve_linear`, `nullspace`,
-`LinMap.inverse` and `LinMap.rank` return the same bases whatever order
-the rows come in.
+So does the scalar layout.  A `LinMap` holds its entries once, as sparse
+rows of raw scalars (ints in [0, p) over F_p, Fractions over Q), and every
+operation on maps, `LinearLaws` and the elimination kernel work on that
+form with no FpElement in their loops; an identity factor costs one entry
+per row.  Field elements are read in by the constructors and made again
+only where a caller reads them: `LinMap.mat`, `column`, `entry` and
+`apply`, the solvers' results, and `integer_vectors`, which gives integer
+vectors instead.  Elimination reduces sparse rows one at a time into the
+reduced row echelon form, which is unique for the row space, so `rref`,
+`solve_linear`, `nullspace`, `LinMap.inverse` and `LinMap.rank` return the
+same bases whatever order the rows come in.
 
 Solution spaces of linear laws in an unknown map X are assembled by
 `LinearLaws`: every law is a sum of terms L . (id (x) X (x) id) . R with
@@ -37,8 +39,8 @@ elimination on integers (Bareiss 1968: each step divides exactly by the
 previous pivot, so entries stay minors of the matrix and no Fraction is
 built).  Both stop at the first column without a pivot.
 
-Every solution is read off that form by one routine, `_solve`, which
-`solve_linear` (so also `nullspace`) and `LinearLaws.kernel` call: the
+Every solution is read off the echelon form by one routine, `_solve`,
+which `solve_linear` (so also `nullspace`) and `LinearLaws` call: the
 kernel basis and the particular solution.  It substitutes each of them
 into every row before returning, and a failed substitution is an internal
 error, never a verdict.
@@ -50,7 +52,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -193,36 +195,41 @@ def GF(p: int) -> type:
 _Q_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 
 
+_SMALL_PRIME = 256
+
+
 @dataclass(frozen=True)
 class Field:
-    """Handle for Q (kind='Q') or F_p (kind='Fp', p prime < 2^61)."""
+    """Handle for Q (kind='Q') or F_p (kind='Fp', p prime < 2^61).  `_box`
+    makes a field element of a raw scalar; over a small F_p each (immutable)
+    element is made once and shared."""
 
     kind: str
     p: Optional[int] = None
+    zero: object = dc_field(init=False, repr=False, compare=False)
+    one: object = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "Q":
             if self.p is not None:
                 raise ParseError("Q takes no modulus")
+            box = _fraction
         elif self.kind == "Fp":
-            GF(self.p)
+            cls = GF(self.p)
+            box = (tuple(map(cls, range(self.p))).__getitem__
+                   if self.p <= _SMALL_PRIME else cls)
         else:
             raise ParseError("unknown field kind %r" % (self.kind,))
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else GF(self.p)(0)
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "Q" else GF(self.p)(1)
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "zero", box(0))
+        object.__setattr__(self, "one", box(1))
 
     @property
     def char(self) -> int:
         return 0 if self.kind == "Q" else self.p
 
     def of(self, n: int):
-        return Fraction(n) if self.kind == "Q" else GF(self.p)(n)
+        return self._box(n % self.p) if self.p else Fraction(n)
 
     def parse(self, s):
         """Read a scalar from a string (or a plain int).
@@ -246,7 +253,7 @@ class Field:
             return Fraction(a, b)
         if b % self.p == 0:
             raise ParseError("denominator of %r is 0 mod %d" % (s, self.p))
-        return GF(self.p)(a * pow(b, -1, self.p))
+        return self.of(a * pow(b, -1, self.p))
 
     def to_str(self, x) -> str:
         return str(x)
@@ -255,8 +262,7 @@ class Field:
         """All field elements in canonical order; only finite fields iterate."""
         if self.kind == "Q":
             raise ShapeError("Q is not enumerable")
-        cls = GF(self.p)
-        return (cls(i) for i in range(self.p))
+        return map(self._box, range(self.p))
 
     @property
     def order(self) -> Optional[int]:
@@ -266,10 +272,14 @@ class Field:
         """A scalar for seeded sampling: uniform in F_p, small integer in Q."""
         if self.kind == "Q":
             return Fraction(rng.randint(-9, 9))
-        return GF(self.p)(rng.randrange(self.p))
+        return self._box(rng.randrange(self.p))
 
     def describe(self) -> dict:
         return {"kind": self.kind} if self.kind == "Q" else {"kind": "Fp", "p": self.p}
+
+
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
 
 QQ = Field("Q")
@@ -301,17 +311,6 @@ def prod(shape: Sequence[int]) -> int:
     return n
 
 
-def flatten_index(shape: Sequence[int], multi: Sequence[int]) -> int:
-    if len(shape) != len(multi):
-        raise ShapeError("index arity %d vs shape arity %d" % (len(multi), len(shape)))
-    flat = 0
-    for d, i in zip(shape, multi):
-        if not 0 <= i < d:
-            raise ShapeError("index %r out of range for shape %r" % (multi, shape))
-        flat = flat * d + i
-    return flat
-
-
 def unflatten_index(shape: Sequence[int], flat: int) -> tuple[int, ...]:
     multi = []
     for d in reversed(shape):
@@ -327,18 +326,10 @@ def iter_multi(shape: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# vectors (plain tuples of scalars)
+# vectors (plain tuples of field elements)
 
 def basis_vec(field: Field, n: int, i: int) -> tuple:
     return tuple(field.one if j == i else field.zero for j in range(n))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(s, v):
-    return tuple(s * a for a in v)
 
 
 def vec_is_zero(v) -> bool:
@@ -350,22 +341,13 @@ def kron_vec(u, v):
     return tuple(a * b for a in u for b in v)
 
 
-def dot(u, v):
-    s = None
-    for a, b in zip(u, v, strict=True):
-        s = a * b if s is None else s + a * b
-    if s is None:
-        raise ShapeError("empty dot product")
-    return s
-
-
 # ---------------------------------------------------------------------------
 # raw scalars
 #
-# The inner loops of compose and of elimination work on raw scalars: plain
-# ints reduced mod p over F_p, Fractions over Q, with `p` = 0 standing for Q.
-# No FpElement is built inside them; values are converted on the way in and
-# out.
+# Maps and the elimination kernel hold raw scalars: plain ints reduced mod p
+# over F_p, Fractions over Q, with `p` = 0 standing for Q.  No FpElement is
+# built inside their loops; field elements are read in at the constructors
+# and boxed on the way out (`Field._box`).
 
 def _modulus(field: Field) -> int:
     """The kernel's name for a field: p for F_p, 0 for Q."""
@@ -375,27 +357,21 @@ def _modulus(field: Field) -> int:
 _VALUE = operator.attrgetter("v")
 
 
+def _raw(p: int, x):
+    """A field element, or a plain int, -> raw scalar."""
+    if p:
+        return x % p if type(x) is int else x.v
+    return Fraction(x) if type(x) is int else x
+
+
 def _raw_line(p: int, line: Sequence) -> list:
-    """Field elements, or plain ints, -> raw scalars: ints in [0, p) over
-    F_p, Fractions over Q."""
+    """Field elements, or plain ints, -> raw scalars."""
     if p:
         try:
             return list(map(_VALUE, line))
         except AttributeError:  # a matrix written with plain ints
             return [x % p if type(x) is int else x.v for x in line]
     return [Fraction(x) if type(x) is int else x for x in line]
-
-
-def _field_rows(field: Field, rows: list[list]) -> tuple[tuple, ...]:
-    """Rows of raw scalars (ints over F_p, reduced or not; Fractions or 0
-    over Q) -> a matrix of field elements."""
-    if field.kind == "Fp":
-        p = field.p
-        cls = GF(p)
-        zero = cls(0)
-        return tuple(tuple(cls(v) if v % p else zero for v in row) for row in rows)
-    zero = Fraction(0)
-    return tuple(tuple(v if v else zero for v in row) for row in rows)
 
 
 def integer_vectors(field: Field, vecs: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -416,35 +392,76 @@ def _sparse(p: int, row: Sequence) -> dict:
 
 def _dense(field: Field, row: dict, n: int) -> tuple:
     """Sparse raw row -> dense tuple of field elements."""
-    raw = [0] * n
+    out = [field.zero] * n
+    box = field._box
     for k, v in row.items():
-        raw[k] = v
-    return _field_rows(field, [raw])[0]
+        out[k] = box(v)
+    return tuple(out)
+
+
+def _row_times(p: int, row: dict, rows: Sequence[dict]) -> dict:
+    """A sparse raw row times the matrix with sparse raw rows `rows`."""
+    acc: dict = {}
+    get = acc.get
+    for k, x in row.items():
+        for c, y in rows[k].items():
+            acc[c] = get(c, 0) + x * y
+    return _reduced(p, acc)
+
+
+def _reduced(p: int, acc: dict) -> dict:
+    """A sparse row of unreduced sums -> raw scalars, zeros dropped."""
+    if p:
+        return {k: r for k, v in acc.items() if (r := v % p)}
+    return {k: v for k, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------
 # linear maps
 
-@dataclass(frozen=True)
 class LinMap:
-    """A linear map between tensor-shaped spaces, as a dense matrix.
+    """A linear map between tensor-shaped spaces.
 
-    mat[r][c] is the coefficient of codomain basis vector r in the image of
-    domain basis vector c (both flat, row-major).
+    Entry (r, c) is the coefficient of codomain basis vector r in the image
+    of domain basis vector c (both flat, row-major).  A map holds its
+    entries once, as sparse rows of raw scalars: row r is a dict {c: entry}
+    of its nonzero entries, and a row is never changed once the map holds
+    it, so maps may share rows.  The constructor reads dense rows of field
+    elements (or plain ints); `mat`, `column`, `entry` and `apply` give
+    field elements back, made when they are read.
     """
 
-    field: Field
-    dom: tuple[int, ...]
-    cod: tuple[int, ...]
-    mat: tuple[tuple, ...]
+    __slots__ = ("field", "dom", "cod", "_rows")
 
-    def __post_init__(self):
-        if len(self.mat) != prod(self.cod):
-            raise ShapeError("row count %d != codomain dim %d" % (len(self.mat), prod(self.cod)))
-        n = prod(self.dom)
-        for row in self.mat:
+    def __init__(self, field: Field, dom, cod, mat: Sequence[Sequence]):
+        dom, cod = tuple(dom), tuple(cod)
+        if len(mat) != prod(cod):
+            raise ShapeError("row count %d != codomain dim %d" % (len(mat), prod(cod)))
+        n = prod(dom)
+        for row in mat:
             if len(row) != n:
                 raise ShapeError("row width %d != domain dim %d" % (len(row), n))
+        p = _modulus(field)
+        self.field, self.dom, self.cod = field, dom, cod
+        self._rows = [_sparse(p, row) for row in mat]
+
+    @classmethod
+    def _from_raw(cls, field: Field, dom: tuple, cod: tuple, rows: list) -> "LinMap":
+        """The map with sparse raw rows `rows` (a list, one per codomain index)."""
+        lm = object.__new__(cls)
+        lm.field, lm.dom, lm.cod, lm._rows = field, dom, cod, rows
+        return lm
+
+    def __eq__(self, other):
+        if not isinstance(other, LinMap):
+            return NotImplemented
+        return ((self.field, self.dom, self.cod, self._rows)
+                == (other.field, other.dom, other.cod, other._rows))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "LinMap(%r, %r, %r, %r)" % (self.field, self.dom, self.cod, self.mat)
 
     # -- construction ------------------------------------------------------
 
@@ -455,21 +472,18 @@ class LinMap:
 
     @staticmethod
     def from_rows(field: Field, dom, cod, rows) -> "LinMap":
-        return LinMap(field, tuple(dom), tuple(cod), tuple(tuple(r) for r in rows))
+        return LinMap(field, dom, cod, [tuple(r) for r in rows])
 
     @staticmethod
     def identity(field: Field, shape) -> "LinMap":
         shape = tuple(shape)
-        n = prod(shape)
-        rows = [[field.zero] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = field.one
-        return LinMap(field, shape, shape, tuple(tuple(r) for r in rows))
+        one = _raw(_modulus(field), 1)
+        return LinMap._from_raw(field, shape, shape, [{i: one} for i in range(prod(shape))])
 
     @staticmethod
     def zero_map(field: Field, dom, cod) -> "LinMap":
         dom, cod = tuple(dom), tuple(cod)
-        return LinMap(field, dom, cod, tuple((field.zero,) * prod(dom) for _ in range(prod(cod))))
+        return LinMap._from_raw(field, dom, cod, [{} for _ in range(prod(cod))])
 
     @staticmethod
     def const(field: Field, vec, shape) -> "LinMap":
@@ -477,7 +491,7 @@ class LinMap:
         shape = tuple(shape)
         if len(vec) != prod(shape):
             raise ShapeError("vector length %d != shape %r" % (len(vec), shape))
-        return LinMap(field, (1,), shape, tuple((x,) for x in vec))
+        return LinMap(field, (1,), shape, [(x,) for x in vec])
 
     # -- basic data --------------------------------------------------------
 
@@ -489,92 +503,93 @@ class LinMap:
     def dim_cod(self) -> int:
         return prod(self.cod)
 
+    @property
+    def mat(self) -> tuple[tuple, ...]:
+        """The dense matrix of field elements, rows by codomain index."""
+        n = self.dim_dom
+        return tuple(_dense(self.field, row, n) for row in self._rows)
+
+    def entry(self, r: int, c: int):
+        x = self._rows[r].get(c)
+        return self.field.zero if x is None else self.field._box(x)
+
     def column(self, c: int) -> tuple:
-        return tuple(row[c] for row in self.mat)
+        return tuple(self.entry(r, c) for r in range(len(self._rows)))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.mat for x in row)
+        return not any(self._rows)
 
     def with_shapes(self, dom, cod) -> "LinMap":
         dom, cod = tuple(dom), tuple(cod)
         if prod(dom) != self.dim_dom or prod(cod) != self.dim_cod:
             raise ShapeError("reshape must preserve flat dimensions")
-        return LinMap(self.field, dom, cod, self.mat)
+        return LinMap._from_raw(self.field, dom, cod, self._rows)
+
+    def mismatch(self, other: "LinMap", by_column: bool = False):
+        """The first entry where two maps of one shape differ, in row-major
+        order (column-major with `by_column`): (row, column, this entry,
+        that entry), the entries as field elements; None if they are equal."""
+        where = [(c, r) if by_column else (r, c)
+                 for r, (a, b) in enumerate(zip(self._rows, other._rows)) if a != b
+                 for c in a.keys() | b.keys() if a.get(c) != b.get(c)]
+        if where:
+            r, c = min(where)[::-1] if by_column else min(where)
+            return r, c, self.entry(r, c), other.entry(r, c)
+        return None
 
     # -- algebra -----------------------------------------------------------
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.dim_dom:
             raise ShapeError("vector length %d != domain dim %d" % (len(vec), self.dim_dom))
-        out = [self.field.zero] * self.dim_cod
-        for c, x in enumerate(vec):
-            if not x:
-                continue
-            for r, row in enumerate(self.mat):
-                m = row[c]
-                if m:
-                    out[r] = out[r] + m * x
-        return tuple(out)
+        p = _modulus(self.field)
+        x = _raw_line(p, vec)
+        acc = {r: sum(a * x[c] for c, a in row.items()) for r, row in enumerate(self._rows)}
+        return _dense(self.field, _reduced(p, acc), len(self._rows))
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other.  Defined when flat dimensions agree."""
         if other.dim_cod != self.dim_dom:
             raise ShapeError("compose: %r after %r" % (self.cod, other.cod))
         p = _modulus(self.field)
-        nc = other.dim_dom
-        # the nonzero entries of each column of self, as raw scalars
-        cols = [[] for _ in range(self.dim_dom)]
-        for r, row in enumerate(self.mat):
-            for k, x in enumerate(_raw_line(p, row)):
-                if x:
-                    cols[k].append((r, x))
-        out = [[0] * nc for _ in range(self.dim_cod)]
-        for col, orow in zip(cols, other.mat):
-            if not col:
-                continue
-            for c, y in enumerate(_raw_line(p, orow)):
-                if y:
-                    for r, x in col:
-                        out[r][c] += x * y
-        return LinMap(self.field, other.dom, self.cod, _field_rows(self.field, out))
+        orows = other._rows
+        # a row with one entry 1 (a row of a permutation) shares the row it picks
+        out = [orows[next(iter(row))] if len(row) == 1 and 1 in row.values()
+               else _row_times(p, row, orows) for row in self._rows]
+        return LinMap._from_raw(self.field, other.dom, self.cod, out)
 
     def tensor(self, other: "LinMap") -> "LinMap":
-        a, b = self, other
-        nrb, ncb = b.dim_cod, b.dim_dom
-        nr, nc = a.dim_cod * nrb, a.dim_dom * ncb
-        zero = a.field.zero
-        out = [[zero] * nc for _ in range(nr)]
-        for r1, arow in enumerate(a.mat):
-            for c1, av in enumerate(arow):
-                if not av:
-                    continue
-                for r2, brow in enumerate(b.mat):
-                    orow = out[r1 * nrb + r2]
-                    base = c1 * ncb
-                    for c2, bv in enumerate(brow):
-                        if bv:
-                            orow[base + c2] = av * bv
-        return LinMap(a.field, a.dom + b.dom, a.cod + b.cod, tuple(tuple(r) for r in out))
+        p = _modulus(self.field)
+        ncb = other.dim_dom
+        brows = other._rows
+        out = []
+        for arow in self._rows:
+            for brow in brows:
+                if p:
+                    out.append({c1 * ncb + c2: x * y % p
+                                for c1, x in arow.items() for c2, y in brow.items()})
+                else:
+                    out.append({c1 * ncb + c2: x * y
+                                for c1, x in arow.items() for c2, y in brow.items()})
+        return LinMap._from_raw(self.field, self.dom + other.dom, self.cod + other.cod, out)
+
+    def _plus(self, other: "LinMap", sign: int, what: str) -> "LinMap":
+        if self.dom != other.dom or self.cod != other.cod:
+            raise ShapeError("%s: shape mismatch" % what)
+        return linear_combination([self, other], (1, sign))
 
     def add(self, other: "LinMap") -> "LinMap":
-        if self.dom != other.dom or self.cod != other.cod:
-            raise ShapeError("add: shape mismatch")
-        p = _modulus(self.field)
-        return LinMap(self.field, self.dom, self.cod, _field_rows(self.field, [
-            [x + y for x, y in zip(_raw_line(p, r), _raw_line(p, s))]
-            for r, s in zip(self.mat, other.mat)]))
+        return self._plus(other, 1, "add")
 
     def sub(self, other: "LinMap") -> "LinMap":
-        if self.dom != other.dom or self.cod != other.cod:
-            raise ShapeError("sub: shape mismatch")
-        p = _modulus(self.field)
-        return LinMap(self.field, self.dom, self.cod, _field_rows(self.field, [
-            [x - y for x, y in zip(_raw_line(p, r), _raw_line(p, s))]
-            for r, s in zip(self.mat, other.mat)]))
+        return self._plus(other, -1, "sub")
 
     def scale(self, s) -> "LinMap":
-        return LinMap(self.field, self.dom, self.cod,
-                      tuple(tuple(s * x for x in r) for r in self.mat))
+        p = _modulus(self.field)
+        s = _raw(p, s)
+        return LinMap._from_raw(self.field, self.dom, self.cod,
+                                [_reduced(p, {c: x * s for c, x in row.items()})
+                                 for row in self._rows])
 
     def transpose(self) -> "LinMap":
         k = len(self.cod)
@@ -597,15 +612,26 @@ class LinMap:
         if sorted(cod + dom) != list(range(len(shape))):
             raise ShapeError("regroup: %r, %r is not an order of the %d legs"
                              % (cod, dom, len(shape)))
-        flat = list(itertools.chain.from_iterable(self.mat))
-        cols = _regroup_offsets(shape, dom)
-        return LinMap(self.field, tuple(shape[i] for i in dom), tuple(shape[i] for i in cod),
-                      tuple(tuple([flat[r + c] for c in cols])
-                            for r in _regroup_offsets(shape, cod)))
+        # each leg's step in the new (row, column) position
+        step = {}
+        for side, legs in enumerate((cod, dom)):
+            size = 1
+            for leg in reversed(legs):
+                step[leg] = (size, 0) if side == 0 else (0, size)
+                size *= shape[leg]
+        k = len(self.cod)
+        at_row = _leg_positions(shape, range(k), step)
+        at_col = _leg_positions(shape, range(k, len(shape)), step)
+        out = [{} for _ in range(prod(shape[i] for i in cod))]
+        for (r0, c0), row in zip(at_row, self._rows):
+            for c, x in row.items():
+                r1, c1 = at_col[c]
+                out[r0 + r1][c0 + c1] = x
+        return LinMap._from_raw(self.field, tuple(shape[i] for i in dom),
+                                tuple(shape[i] for i in cod), out)
 
     def rank(self) -> int:
-        p = _modulus(self.field)
-        return len(_echelon(p, [_sparse(p, r) for r in self.mat]))
+        return len(_echelon(_modulus(self.field), self._rows))
 
     def inverse(self) -> Optional["LinMap"]:
         """Exact two-sided inverse, or None if not square/invertible: the
@@ -614,24 +640,68 @@ class LinMap:
         if n != self.dim_cod:
             return None
         p = _modulus(self.field)
-        one = 1 if p else Fraction(1)
-        basis = _echelon(p, [{**_sparse(p, row), n + i: one}
-                             for i, row in enumerate(self.mat)])
+        one = _raw(p, 1)
+        basis = _echelon(p, [{**row, n + i: one} for i, row in enumerate(self._rows)])
         if sorted(basis) != list(range(n)):
             return None
-        return LinMap(self.field, self.cod, self.dom, _field_rows(
-            self.field, [[basis[i].get(n + j, 0) for j in range(n)] for i in range(n)]))
+        return LinMap._from_raw(self.field, self.cod, self.dom, [
+            {c - n: x for c, x in basis[i].items() if c >= n} for i in range(n)])
 
 
-def _regroup_offsets(shape: tuple, order: tuple) -> list:
-    """Flat positions, in a row-major tensor with legs of sizes `shape`, of
-    the index choices on the legs `order` with every other leg at 0, in
-    row-major order over `order`; a row's and a column's positions add."""
-    offsets = [0]
-    for leg in order:
-        step = prod(shape[leg + 1:])
-        offsets = [o + i * step for o in offsets for i in range(shape[leg])]
-    return offsets
+def _leg_positions(shape: tuple, legs, step: dict) -> list:
+    """For each index choice on `legs`, in row-major order, the (row,
+    column) offset it contributes, each leg adding its index times its
+    step."""
+    out = [(0, 0)]
+    for leg in legs:
+        dr, dc = step[leg]
+        out = [(r + i * dr, c + i * dc) for r, c in out for i in range(shape[leg])]
+    return out
+
+
+def linear_combination(basis: Sequence[LinMap], coeffs: Sequence) -> LinMap:
+    """sum coeffs_i basis_i for a nonempty basis of maps of one shape; the
+    coefficients are field elements or plain ints."""
+    b0 = basis[0]
+    p = _modulus(b0.field)
+    acc = [{} for _ in b0._rows]
+    for s, b in zip(coeffs, basis):
+        s = _raw(p, s)
+        if not s:
+            continue
+        for a, row in zip(acc, b._rows):
+            get = a.get
+            for c, x in row.items():
+                a[c] = get(c, 0) + s * x
+    return LinMap._from_raw(b0.field, b0.dom, b0.cod, [_reduced(p, a) for a in acc])
+
+
+def cokernel(rel: LinMap) -> tuple[LinMap, LinMap, tuple]:
+    """The quotient of the codomain V of `rel` by the span of its columns.
+
+    Returns (pi, sigma, relations).  `relations` are the rows of the reduced
+    row echelon form of that span (`rref`), as tuples of field elements;
+    the free columns (no pivot) index the quotient.  pi: V -> V/span reads
+    off the coordinates of the free columns, a pivot basis vector going to
+    minus its relation's free entries; sigma sends quotient coordinate i to
+    the basis vector of the i-th free column, so pi . sigma = id.
+    """
+    f = rel.field
+    p = _modulus(f)
+    n = rel.dim_cod
+    red, pivots = rref(f, rel.transpose().mat)
+    pivot = set(pivots)
+    free = [c for c in range(n) if c not in pivot]
+    at = {c: i for i, c in enumerate(free)}
+    one = _raw(p, 1)
+    pi = [{c: one} for c in free]
+    sigma = [{at[c]: one} if c in at else {} for c in range(n)]
+    for t, line in zip(pivots, red):
+        for c, x in _sparse(p, line).items():
+            if c != t:
+                pi[at[c]][t] = (-x) % p if p else -x
+    return (LinMap._from_raw(f, rel.cod, (len(free),), pi),
+            LinMap._from_raw(f, (len(free),), rel.cod, sigma), tuple(map(tuple, red)))
 
 
 def swap_map(field: Field, d1: int, d2: int) -> LinMap:
@@ -713,15 +783,6 @@ def _kernel(p: int, basis: dict, n: int) -> list[dict]:
     return out
 
 
-def _residual(p: int, row: dict, vec: dict):
-    acc = 0
-    for k, a in row.items():
-        x = vec.get(k)
-        if x:
-            acc += a * x
-    return acc % p if p else acc
-
-
 def _solve(p: int, rows: Sequence[dict], n: int):
     """Solve sparse raw `rows` in the unknowns 0..n-1, the right-hand side in
     column n (absent from a homogeneous system).
@@ -739,9 +800,14 @@ def _solve(p: int, rows: Sequence[dict], n: int):
     if n not in basis:
         particular = {c: row[n] for c, row in basis.items() if n in row}
         checks.append(({**particular, n: -1}, "particular solution"))
-    for vec, what in checks:
-        if any(_residual(p, row, vec) for row in rows):
-            raise InternalCheckError("%s failed substitution" % what)
+    # all at once: the rows times the matrix whose column j is check j
+    by_unknown = [{} for _ in range(n + 1)]
+    for j, (vec, _) in enumerate(checks):
+        for k, x in vec.items():
+            by_unknown[k][j] = x
+    bad = {j for row in rows for j in _row_times(p, row, by_unknown)}
+    if bad:
+        raise InternalCheckError("%s failed substitution" % checks[min(bad)][1])
     return particular, kernel
 
 
@@ -859,19 +925,6 @@ def nullspace(field: Field, rows: Sequence[Sequence]) -> list[tuple]:
     return kernel
 
 
-def row_space_basis(field: Field, rows: Sequence[Sequence]) -> list[tuple]:
-    red, _ = rref(field, [list(r) for r in rows])
-    return [tuple(r) for r in red]
-
-
-def in_span(field: Field, basis: Sequence[Sequence], vec: Sequence) -> bool:
-    """Whether vec lies in the span of `basis` (by exact solve)."""
-    if not basis:
-        return vec_is_zero(vec)
-    part, _ = solve_linear(field, list(zip(*basis)), vec)
-    return part is not None
-
-
 @dataclass
 class SolutionSpace:
     """A computed linear solution space plus its defining residual check.
@@ -919,12 +972,12 @@ def _legs(lm: Optional[LinMap], d: int, before: int, after: int, p: int, left: b
                 groups[(u, v)] = [((u * d + k) * after + v, k, one) for k in range(d)]
         return groups
     span = d * after
-    for outer, line in enumerate(lm.mat if left else zip(*lm.mat)):
-        for mid, x in enumerate(_raw_line(p, line)):
-            if x:
-                u, rest = divmod(mid, span)
-                k, v = divmod(rest, after)
-                groups.setdefault((u, v), []).append((outer, k, x))
+    for r, row in enumerate(lm._rows):
+        for c, x in row.items():
+            outer, mid = (r, c) if left else (c, r)
+            u, rest = divmod(mid, span)
+            k, v = divmod(rest, after)
+            groups.setdefault((u, v), []).append((outer, k, x))
     return groups
 
 
@@ -990,10 +1043,18 @@ class LinearLaws:
 
     def maps(self, dom, cod) -> list[LinMap]:
         """The kernel as maps between the tensor shapes `dom` and `cod`."""
-        nd = self.dom
-        return [LinMap(self.field, tuple(dom), tuple(cod),
-                       tuple(vec[r * nd:(r + 1) * nd] for r in range(self.cod)))
-                for vec in self.kernel()]
+        dom, cod = tuple(dom), tuple(cod)
+        if (prod(dom), prod(cod)) != (self.dom, self.cod):
+            raise ShapeError("maps %r -> %r for %d x %d unknowns" % (dom, cod, self.cod, self.dom))
+        _, vecs = _solve(_modulus(self.field), self.rows, self.dom * self.cod)
+        out = []
+        for vec in vecs:
+            rows = [{} for _ in range(self.cod)]
+            for k, x in vec.items():
+                r, c = divmod(k, self.dom)
+                rows[r][c] = x
+            out.append(LinMap._from_raw(self.field, dom, cod, rows))
+        return out
 
 
 def hom_probe_matrix(field: Field, dim_unknown: int, operators: Sequence[Callable[[int], Sequence]]):

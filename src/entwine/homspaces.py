@@ -71,6 +71,7 @@ from .exactlin import (
     basis_vec,
     integer_vectors,
     is_singular,
+    linear_combination,
     solve_linear,
 )
 from .entwining import EntwinedObject, Entwining
@@ -320,11 +321,7 @@ def search_candidates(field: Field, dim: int, attempt: Callable[[list], Optional
 
 def combine_in_span(field: Field, basis: Sequence[LinMap], coeffs: Sequence) -> LinMap:
     """sum coeffs_i basis_i for a nonempty basis of maps of one shape."""
-    b0 = basis[0]
-    vec = combine(field, [flat(b) for b in basis], coeffs)
-    n = b0.dim_dom
-    return LinMap(field, b0.dom, b0.cod,
-                  tuple(vec[r * n:(r + 1) * n] for r in range(b0.dim_cod)))
+    return linear_combination(basis, coeffs)
 
 
 def combine(field: Field, basis: Sequence, coeffs: Sequence, zero=None):
@@ -486,32 +483,17 @@ def iso_exists(e: Entwining, x: EntwinedObject, y: EntwinedObject,
 # ---------------------------------------------------------------------------
 # affine solving inside a known span
 
-def _affine_system(field: Field, dim: int, residual_at: Callable[[list], Sequence]):
-    """The system rows . x = rhs of an affine residual, probed at zero and at
-    each unit coefficient vector."""
-    zero, one = field.zero, field.one
-    base = list(residual_at([zero] * dim))
-    cols = []
-    for j in range(dim):
-        probe = [zero] * dim
-        probe[j] = one
-        cols.append([x - b for x, b in zip(residual_at(probe), base)])
-    rows = [[cols[j][i] for j in range(dim)] for i in range(len(base))]
-    return rows, [-b for b in base]
-
-
-def solve_affine_in_span(field: Field, dim: int,
-                         residual_at: Callable[[list], Sequence]):
-    """Solve residual(x) = 0 for x in a dim-dimensional coefficient space.
-
-    `residual_at` must be affine in the coefficients.  Returns
-    (particular_coeffs_or_None, kernel_basis).
+def solve_affine_in_span(field: Field, images: Sequence[Sequence], target: Sequence):
+    """Solve sum_j x_j images_j = target for x in a coefficient space, where
+    images_j is the image (flat field values) of the j-th basis element
+    under a linear map.  Returns (particular_coeffs_or_None, kernel_basis).
     """
-    rows, rhs = _affine_system(field, dim, residual_at)
-    if not rows:
+    dim = len(images)
+    if not target:
         # no conditions at all: everything solves
         return [field.zero] * dim, [basis_vec(field, dim, j) for j in range(dim)]
-    return solve_linear(field, rows, rhs)
+    return solve_linear(field, [[img[i] for img in images] for i in range(len(target))],
+                        target)
 
 
 def decide_normalized(field: Field, question: str, space: SolutionSpace, zero,
@@ -523,17 +505,17 @@ def decide_normalized(field: Field, question: str, space: SolutionSpace, zero,
     This is how every separability and splitting question is asked: the
     functor (or extension) is separable exactly when its solution space
     holds a normalized element.  `normalize` is linear and returns flat
-    field values, so one exact solve decides it and the answer is always
-    definitive.  `zero` is the zero element (a map, or a tuple for vector
-    spaces), standing in for an empty basis.  A found x is the witness
-    under `key`.  It is re-checked against the laws of its space and, by
-    evaluating `normalize` on it, against `target`; `checks` names these
-    two checks, and a failure of either is an internal error.  `reasons`
-    are the reasons of "no" and of "yes".
+    field values, so the system is read off the basis, one `normalize` per
+    element with `target` as the right-hand side, and one exact solve
+    decides it: the answer is always definitive.  `zero` is the zero
+    element (a map, or a tuple for vector spaces), standing in for an empty
+    basis.  A found x is the witness under `key`.  It is re-checked against
+    the laws of its space and, by evaluating `normalize` on it, against
+    `target`; `checks` names these two checks, and a failure of either is
+    an internal error.  `reasons` are the reasons of "no" and of "yes".
     """
     target = list(target)
-    part, _ = solve_affine_in_span(field, space.dim, lambda c: [
-        x - t for x, t in zip(normalize(combine(field, space.basis, c, zero)), target)])
+    part, _ = solve_affine_in_span(field, [normalize(b) for b in space.basis], target)
     meta = dict(meta, definitive=True)
     if part is None:
         return Verdict(question, "no", reasons[0], meta=meta)
@@ -560,9 +542,9 @@ class BilinearSystem:
     sum_j x_j (sum_i c_i pair(W_i, V_j)) = target in the unknown's
     coordinates x.  `tabulated` builds it from the table
     pair(W_i, V_j), whose row i is filled the first time a point has
-    c_i != 0, by combining integers; `probed` evaluates the laws on the
-    combined candidate at v = 0 and at each V_j, as `solve_affine_in_span`
-    does.  Both give the same rows and right-hand side.
+    c_i != 0, by combining integers; `probed` evaluates pair on the
+    combined candidate and each V_j.  Both give the same rows and
+    right-hand side.
     """
 
     def __init__(self, field: Field, cands: Sequence, unknowns: Sequence, zero,
@@ -602,10 +584,11 @@ class BilinearSystem:
         return [acc[r::m] for r in range(m)], list(self.target)
 
     def probed(self, coeffs: Sequence):
-        """(rows, rhs) of the system at a point, by evaluating the laws."""
+        """(rows, rhs) of the system at a point, by evaluating the laws on
+        the combined candidate and each V_j."""
         w = self.candidate(coeffs)
-        return _affine_system(self.field, len(self.unknowns), lambda x: [
-            a - t for a, t in zip(self.pair(w, self.unknown(x)), self.target)])
+        cols = [self.pair(w, v) for v in self.unknowns]
+        return [[col[i] for col in cols] for i in range(len(self.target))], list(self.target)
 
     def search(self, cfg: SearchConfig):
         """Scan candidate points with `search_candidates`, solving each

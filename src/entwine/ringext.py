@@ -33,8 +33,8 @@ from .exactlin import (
     SolutionSpace,
     Term,
     basis_vec,
+    cokernel,
     nullspace,
-    rref,
     solve_linear,
     vec_is_zero,
 )
@@ -109,24 +109,11 @@ class TensorOverR:
 
 
 def tensor_over_R(ext: RingExtension) -> TensorOverR:
-    f = ext.field
-    ns = ext.s.dim
-    n2 = ns * ns
-    ms, ids = ext.s.mult_map(), LinMap.identity(f, (ns,))
+    ms, ids = ext.s.mult_map(), LinMap.identity(ext.field, (ext.s.dim,))
     # s (x) r (x) t |-> s i(r) (x) t - s (x) i(r) t; its columns span the relations
     rel = (ms.compose(ids.tensor(ext.embedding)).tensor(ids)
            .sub(ids.tensor(ms.compose(ext.embedding.tensor(ids)))))
-    red, pivots = rref(f, rel.transpose().mat)
-    free = [c for c in range(n2) if c not in pivots]
-    pivot_at = {c: i for i, c in enumerate(pivots)}
-
-    # row c of pi reads off the coordinate of the free column c
-    pi_mat = tuple(tuple(-red[pivot_at[t]][c] if t in pivot_at else f.one if t == c else f.zero
-                         for t in range(n2)) for c in free)
-    pi = LinMap(f, (ns, ns), (len(free),), pi_mat)
-    sigma = LinMap.from_images(f, (len(free),), (ns, ns),
-                               [basis_vec(f, n2, c) for c in free])
-    return TensorOverR(ext, pi, sigma, tuple(tuple(r) for r in red))
+    return TensorOverR(ext, *cokernel(rel))
 
 
 def quotient_mult(t: TensorOverR) -> LinMap:
@@ -256,23 +243,10 @@ def separable_check(ext: RingExtension) -> Verdict:
 
 def _frobenius_norms(ext: RingExtension, nu: LinMap, lift) -> tuple[list, list]:
     """i(nu(e1)) e2 and e1 i(nu(e2)) for a lifted tensor in S (x) S."""
-    f = ext.field
-    ns = ext.s.dim
-    n = nu.with_shapes((ns,), (ext.r.dim,))
-    first = [f.zero] * ns
-    second = [f.zero] * ns
-    for a in range(ns):
-        for b in range(ns):
-            w = lift[a * ns + b]
-            if not w:
-                continue
-            ia = ext.embed(n.apply(basis_vec(f, ns, a)))
-            prod = ext.s.product(ia, basis_vec(f, ns, b))
-            first = [x + w * y for x, y in zip(first, prod)]
-            ib = ext.embed(n.apply(basis_vec(f, ns, b)))
-            prod = ext.s.product(basis_vec(f, ns, a), ib)
-            second = [x + w * y for x, y in zip(second, prod)]
-    return first, second
+    inu = ext.embedding.compose(nu.with_shapes((ext.s.dim,), (ext.r.dim,)))
+    ms, ids = ext.s.mult_map(), LinMap.identity(ext.field, (ext.s.dim,))
+    return (list(ms.compose(inu.tensor(ids)).apply(lift)),
+            list(ms.compose(ids.tensor(inu)).apply(lift)))
 
 
 def frobenius_residual(ext: RingExtension, t: TensorOverR, nu: LinMap, evec) -> list[str]:
@@ -485,12 +459,8 @@ def dual_basis_S(ext: RingExtension, t: TensorOverR, nu: LinMap, evec):
 
     resolver = LinMap.zero_map(f, (ns,), (ns,))
     for el, func in zip(elements, functionals):
-        to_s = ext.embedding.compose(func)
-        outer = LinMap.from_images(
-            f, (ns,), (ns,),
-            [ext.s.product(el, to_s.apply(basis_vec(f, ns, b)))
-             for b in range(ns)])
-        resolver = resolver.add(outer)
+        # s |-> el i(func(s))
+        resolver = resolver.add(ext.s.lmult(el).compose(ext.embedding.compose(func)))
     ok = resolver == LinMap.identity(f, (ns,))
     note = "dual basis of the total algebra over the base, from a Frobenius system"
     return DualBasis(tuple(elements), tuple(functionals), note), ok

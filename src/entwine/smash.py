@@ -88,7 +88,7 @@ class Factorization:
     def r_entry(self, b2: int, a2: int, a: int, b: int):
         """Coefficient of e_{b2} (x) e_{a2} in R(e_a (x) e_b)."""
         nb, na = self.b.dim, self.a.dim
-        return self.rmap.mat[b2 * na + a2][a * nb + b]
+        return self.rmap.entry(b2 * na + a2, a * nb + b)
 
 
 def check_factorization(fact: Factorization,

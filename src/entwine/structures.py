@@ -10,6 +10,7 @@ malformed shapes and dim 0 are rejected with ParseError before any math runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 from .exactlin import (
@@ -52,14 +53,12 @@ class ValidationReport:
 
     def add_law(self, law: str, lhs: LinMap, rhs: LinMap):
         """Record the first witness coordinate where lhs != rhs, if any."""
-        for r, (lrow, rrow) in enumerate(zip(lhs.mat, rhs.mat)):
-            for c, (x, y) in enumerate(zip(lrow, rrow)):
-                if x != y:
-                    self.violations.append(Violation(
-                        law,
-                        unflatten_index(lhs.dom, c),
-                        "output %r: %s != %s" % (unflatten_index(lhs.cod, r), x, y)))
-                    return
+        bad = lhs.mismatch(rhs)
+        if bad is not None:
+            r, c, x, y = bad
+            self.violations.append(Violation(
+                law, unflatten_index(lhs.dom, c),
+                "output %r: %s != %s" % (unflatten_index(lhs.cod, r), x, y)))
 
     def describe(self) -> str:
         if self.ok:
@@ -110,20 +109,14 @@ class AlgebraData:
                            _freeze1(dim, unit, "unit"))
 
     def product(self, u: Sequence, v: Sequence) -> tuple:
-        out = [self.field.zero] * self.dim
-        for i, x in enumerate(u):
-            if not x:
-                continue
-            for j, y in enumerate(v):
-                if not y:
-                    continue
-                xy = x * y
-                for k, m in enumerate(self.mult[i][j]):
-                    if m:
-                        out[k] = out[k] + m * xy
-        return tuple(out)
+        return self.mult_map().apply(kron_vec(u, v))
 
     def mult_map(self) -> LinMap:
+        return self._mult_map
+
+    @cached_property
+    def _mult_map(self) -> LinMap:
+        """m: A (x) A -> A, read off the structure constants on first use."""
         imgs = [self.mult[i][j] for i, j in iter_multi((self.dim, self.dim))]
         return LinMap.from_images(self.field, (self.dim, self.dim), (self.dim,), imgs)
 
@@ -132,13 +125,15 @@ class AlgebraData:
 
     def lmult(self, vec: Sequence) -> LinMap:
         """x -> vec * x."""
-        imgs = [self.product(vec, basis_vec(self.field, self.dim, j)) for j in range(self.dim)]
-        return LinMap.from_images(self.field, (self.dim,), (self.dim,), imgs)
+        n = self.dim
+        v, idn = LinMap.const(self.field, vec, (n,)), LinMap.identity(self.field, (n,))
+        return self.mult_map().compose(v.tensor(idn)).with_shapes((n,), (n,))
 
     def rmult(self, vec: Sequence) -> LinMap:
         """x -> x * vec."""
-        imgs = [self.product(basis_vec(self.field, self.dim, j), vec) for j in range(self.dim)]
-        return LinMap.from_images(self.field, (self.dim,), (self.dim,), imgs)
+        n = self.dim
+        v, idn = LinMap.const(self.field, vec, (n,)), LinMap.identity(self.field, (n,))
+        return self.mult_map().compose(idn.tensor(v)).with_shapes((n,), (n,))
 
     def opposite(self) -> "AlgebraData":
         m = tuple(tuple(self.mult[j][i] for j in range(self.dim)) for i in range(self.dim))
@@ -160,22 +155,22 @@ class AlgebraData:
 
 
 def check_algebra(a: AlgebraData, subject: str = "algebra") -> ValidationReport:
+    """Associativity at the first failing (i, j, k) in row-major order, then
+    the unit on each basis vector, both read off composites of m and u."""
     rep = ValidationReport(subject)
     n = a.dim
-    basis = [basis_vec(a.field, n, i) for i in range(n)]
-    for i, j, k in iter_multi((n, n, n)):
-        lhs = a.product(a.product(basis[i], basis[j]), basis[k])
-        rhs = a.product(basis[i], a.product(basis[j], basis[k]))
-        if lhs != rhs:
-            w = next(t for t in range(n) if lhs[t] != rhs[t])
-            rep.violations.append(Violation(
-                "associativity", (i, j, k),
-                "coordinate %d: %s != %s" % (w, lhs[w], rhs[w])))
-            break
+    m, u, idn = a.mult_map(), a.unit_map(), LinMap.identity(a.field, (n,))
+    # column (i, j, k): (e_i e_j) e_k and e_i (e_j e_k)
+    bad = m.compose(m.tensor(idn)).mismatch(m.compose(idn.tensor(m)), by_column=True)
+    if bad is not None:
+        w, ijk, x, y = bad
+        rep.violations.append(Violation("associativity", unflatten_index((n, n, n), ijk),
+                                        "coordinate %d: %s != %s" % (w, x, y)))
+    left, right = m.compose(u.tensor(idn)), m.compose(idn.tensor(u))
     for i in range(n):
-        if a.product(a.unit, basis[i]) != basis[i]:
+        if left.column(i) != idn.column(i):
             rep.violations.append(Violation("unit-left", (i,)))
-        if a.product(basis[i], a.unit) != basis[i]:
+        if right.column(i) != idn.column(i):
             rep.violations.append(Violation("unit-right", (i,)))
     return rep
 
@@ -302,59 +297,43 @@ class CoactionData:
     map: LinMap
 
 
+def _beside(side: str, what: str):
+    """x (x) y for a right structure, y (x) x for a left one."""
+    if side not in ("left", "right"):
+        raise ParseError("%s side must be 'left' or 'right'" % what)
+    return (lambda x, y: x.tensor(y)) if side == "right" else (lambda x, y: y.tensor(x))
+
+
 def check_action(h: AlgebraData, act: ActionData, subject: str = "action") -> ValidationReport:
     rep = ValidationReport(subject)
-    f = h.field
+    pair = _beside(act.side, "action")
     t = act.map
-    if act.side == "right":
-        mdim = t.dim_cod
-        idm = LinMap.identity(f, (mdim,))
-        idh = LinMap.identity(f, (h.dim,))
-        lhs = t.compose(t.tensor(idh))
-        rhs = t.compose(idm.tensor(h.mult_map()))
-        rep.add_law("action-associativity", lhs.with_shapes((mdim, h.dim, h.dim), (mdim,)),
-                    rhs.with_shapes((mdim, h.dim, h.dim), (mdim,)))
-        unit_side = t.compose(idm.tensor(h.unit_map())).with_shapes((mdim,), (mdim,))
-        rep.add_law("action-unit", unit_side, idm)
-    elif act.side == "left":
-        mdim = t.dim_cod
-        idm = LinMap.identity(f, (mdim,))
-        idh = LinMap.identity(f, (h.dim,))
-        lhs = t.compose(idh.tensor(t))
-        rhs = t.compose(h.mult_map().tensor(idm))
-        rep.add_law("action-associativity", lhs.with_shapes((h.dim, h.dim, mdim), (mdim,)),
-                    rhs.with_shapes((h.dim, h.dim, mdim), (mdim,)))
-        unit_side = t.compose(h.unit_map().tensor(idm)).with_shapes((mdim,), (mdim,))
-        rep.add_law("action-unit", unit_side, idm)
-    else:
-        raise ParseError("action side must be 'left' or 'right'")
+    mdim = t.dim_cod
+    idm, idh = LinMap.identity(h.field, (mdim,)), LinMap.identity(h.field, (h.dim,))
+    legs = (mdim, h.dim, h.dim) if act.side == "right" else (h.dim, h.dim, mdim)
+    lhs = t.compose(pair(t, idh))
+    rhs = t.compose(pair(idm, h.mult_map()))
+    rep.add_law("action-associativity", lhs.with_shapes(legs, (mdim,)),
+                rhs.with_shapes(legs, (mdim,)))
+    unit_side = t.compose(pair(idm, h.unit_map())).with_shapes((mdim,), (mdim,))
+    rep.add_law("action-unit", unit_side, idm)
     return rep
 
 
 def check_coaction(h: CoalgebraData, coact: CoactionData,
                    subject: str = "coaction") -> ValidationReport:
     rep = ValidationReport(subject)
-    f = h.field
+    pair = _beside(coact.side, "coaction")
     t = coact.map
     mdim = t.dim_dom
-    idm = LinMap.identity(f, (mdim,))
-    idh = LinMap.identity(f, (h.dim,))
-    if coact.side == "right":
-        lhs = t.tensor(idh).compose(t)
-        rhs = idm.tensor(h.comult_map()).compose(t)
-        rep.add_law("coaction-coassociativity", lhs.with_shapes((mdim,), (mdim, h.dim, h.dim)),
-                    rhs.with_shapes((mdim,), (mdim, h.dim, h.dim)))
-        counit_side = idm.tensor(h.counit_map()).compose(t).with_shapes((mdim,), (mdim,))
-        rep.add_law("coaction-counit", counit_side, idm)
-    elif coact.side == "left":
-        lhs = idh.tensor(t).compose(t)
-        rhs = h.comult_map().tensor(idm).compose(t)
-        rep.add_law("coaction-coassociativity", lhs.with_shapes((mdim,), (h.dim, h.dim, mdim)),
-                    rhs.with_shapes((mdim,), (h.dim, h.dim, mdim)))
-        counit_side = h.counit_map().tensor(idm).compose(t).with_shapes((mdim,), (mdim,))
-        rep.add_law("coaction-counit", counit_side, idm)
-    else:
-        raise ParseError("coaction side must be 'left' or 'right'")
+    idm, idh = LinMap.identity(h.field, (mdim,)), LinMap.identity(h.field, (h.dim,))
+    legs = (mdim, h.dim, h.dim) if coact.side == "right" else (h.dim, h.dim, mdim)
+    lhs = pair(t, idh).compose(t)
+    rhs = pair(idm, h.comult_map()).compose(t)
+    rep.add_law("coaction-coassociativity", lhs.with_shapes((mdim,), legs),
+                rhs.with_shapes((mdim,), legs))
+    counit_side = pair(idm, h.counit_map()).compose(t).with_shapes((mdim,), (mdim,))
+    rep.add_law("coaction-counit", counit_side, idm)
     return rep
 
 

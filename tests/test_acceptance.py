@@ -14,6 +14,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from _reversed_corpus import run_reversed
+from _vectors import in_span
 from entwine.actforget import (
     FROBENIUS_PRIME_CS,
     FprimeGprime_frobenius,
@@ -67,7 +68,6 @@ from entwine.exactlin import (
     QQ,
     basis_vec,
     hom_probe_matrix,
-    in_span,
     nullspace,
     solve_linear,
 )

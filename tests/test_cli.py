@@ -345,9 +345,9 @@ def test_unnormalized_witness_is_an_internal_error(tmp_path, capsys, monkeypatch
     entry, check = _NORMALIZED[question]
     real = homspaces.solve_affine_in_span
 
-    def zeros(field, dim, residual_at):
-        part, kern = real(field, dim, residual_at)
-        return (None if part is None else [field.zero] * dim), kern
+    def zeros(field, images, target):
+        part, kern = real(field, images, target)
+        return (None if part is None else [field.zero] * len(images)), kern
 
     monkeypatch.setattr(homspaces, "solve_affine_in_span", zeros)
     p = export(tmp_path, entry, F3)

@@ -39,9 +39,11 @@ from entwine.entwining import (
     std_object_AC,
     std_object_CstarA,
 )
-from entwine.exactlin import Field, LinMap, QQ, in_span
+from entwine.exactlin import Field, LinMap, QQ
 from entwine.homspaces import SearchConfig, hom_basis, morphism_ok
 from entwine.structures import ActionData, CoactionData
+
+from _vectors import in_span
 
 F2 = Field("Fp", 2)
 F3 = Field("Fp", 3)

@@ -15,10 +15,7 @@ from entwine.exactlin import (
     ParseError,
     ShapeError,
     basis_vec,
-    dot,
-    flatten_index,
     hom_probe_matrix,
-    in_span,
     is_prime,
     iter_multi,
     kron_vec,
@@ -28,9 +25,9 @@ from entwine.exactlin import (
     solve_linear,
     swap_map,
     unflatten_index,
-    vec_add,
-    vec_scale,
 )
+
+from _vectors import dot, flatten_index, in_span, vec_add, vec_scale
 
 F2 = Field("Fp", 2)
 F3 = Field("Fp", 3)

@@ -282,17 +282,17 @@ def test_find_invertible_reports_grid_certificate_over_Q():
 
 
 def test_solve_affine_in_span_recovers_solution():
-    # find x = (x0, x1) with x0 + x1 = 2 and x0 - x1 = 0
-    def residual(c):
-        return [c[0] + c[1] - QQ.of(2), c[0] - c[1]]
-
-    part, kern = solve_affine_in_span(QQ, 2, residual)
+    # find x = (x0, x1) with x0 + x1 = 2 and x0 - x1 = 0: the images of the
+    # two basis elements are (1, 1) and (1, -1)
+    images = [(QQ.one, QQ.one), (QQ.one, -QQ.one)]
+    part, kern = solve_affine_in_span(QQ, images, [QQ.of(2), QQ.zero])
     assert part is not None and list(part) == [QQ.one, QQ.one]
     assert kern == []
 
 
 def test_solve_affine_infeasible():
-    part, kern = solve_affine_in_span(QQ, 1, lambda c: [c[0], c[0] - QQ.one])
+    # x0 = 0 and x0 = 1
+    part, kern = solve_affine_in_span(QQ, [(QQ.one, QQ.one)], [QQ.zero, QQ.one])
     assert part is None
 
 
@@ -340,7 +340,7 @@ def test_decide_normalized_rechecks_the_normalization(monkeypatch):
     from entwine import homspaces
 
     monkeypatch.setattr(homspaces, "solve_affine_in_span",
-                        lambda field, dim, residual_at: ([QQ.zero] * dim, []))
+                        lambda field, images, target: ([QQ.zero] * len(images), []))
     with pytest.raises(InternalCheckError, match="q witness fails w-normalization"):
         decide_normalized(QQ, "q", _plane(), None, list, [QQ.one, QQ.one], "w",
                           CHECKS, ("none", "found"), {})

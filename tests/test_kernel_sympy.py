@@ -1,4 +1,5 @@
-"""The exact elimination kernel against sympy's, over Q and GF(p).
+"""The exact elimination kernel and the map algebra against sympy's, over
+Q and GF(p).
 
 `rref`, `solve_linear`, `nullspace`, `LinMap.inverse`, `LinMap.rank` and
 `is_singular` are compared with sympy's DomainMatrix on random matrices
@@ -7,8 +8,16 @@ the supported bound.  The reduced row echelon form is unique, so it must
 agree exactly; the nullspace basis must be the one read off that form
 (free unknown 1, pivots from the form), which sympy's own basis spans but
 scales differently over GF(p), and so must the particular solution (free
-unknowns 0).  sympy is a test-only dependency: without it these tests are
-skipped.
+unknowns 0).
+
+`LinMap.compose`, `tensor`, `add`, `sub`, `transpose`, `regroup` and
+`apply` are compared with DomainMatrix products, sums, Kronecker blocks
+and transposes and with sympy's `permutedims`, over Q, GF(2), GF(3) and
+GF(5), for maps given as field elements and as plain ints (unreduced over
+GF(p); over Q the ints are a matrix of their own).  Every entry a map
+gives back must be a field element, not a raw scalar.
+
+sympy is a test-only dependency: without it these tests are skipped.
 """
 
 from fractions import Fraction
@@ -17,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entwine.exactlin import (QQ, Field, LinMap, is_singular, nullspace, rref,
+from entwine.exactlin import (QQ, Field, LinMap, is_singular, nullspace, prod, rref,
                               solve_linear)
 
 sympy = pytest.importorskip("sympy")
@@ -49,12 +58,14 @@ def matrices(draw, square=False):
 
 
 def to_sympy(field, rows):
+    """Rows of field elements or plain ints."""
     if field.kind == "Q":
         dom = SymQQ
-        cells = [[dom(x.numerator, x.denominator) for x in row] for row in rows]
+        cells = [[dom(Fraction(x).numerator, Fraction(x).denominator) for x in row]
+                 for row in rows]
     else:
         dom = SymGF(field.p)
-        cells = [[dom(x.v) for x in row] for row in rows]
+        cells = [[dom(x if type(x) is int else x.v) for x in row] for row in rows]
     return DomainMatrix(cells, (len(rows), len(rows[0])), dom)
 
 
@@ -202,3 +213,104 @@ def test_is_singular_matches_sympy_det(case):
         raw = [[x.v + field.p * ((i + j) % 3 - 1) for j, x in enumerate(row)]
                for i, row in enumerate(rows)]
     assert is_singular(field, raw) == want
+
+
+# -- the map algebra -----------------------------------------------------------
+
+MAP_FIELDS = (QQ,) + tuple(Field("Fp", p) for p in (2, 3, 5))
+LEGS = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def linmaps(draw, field, dom, cod):
+    """The rows of a map dom -> cod twice, as field elements and as plain
+    ints, with the two LinMaps built from them: over GF(p) the ints are
+    the same matrix unreduced, over Q they are the numerators alone."""
+    nr, nc = prod(cod), prod(dom)
+    nums = draw(st.lists(st.lists(st.one_of(st.just(0), st.integers(-4, 6)),
+                                  min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if field.kind == "Q":
+        dens = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=nr * nc, max_size=nr * nc))
+        elems = [[Fraction(x, dens[r * nc + c]) for c, x in enumerate(row)]
+                 for r, row in enumerate(nums)]
+    else:
+        elems = [[field.of(x) for x in row] for row in nums]
+    return [(rows, LinMap(field, dom, cod, rows)) for rows in (elems, nums)]
+
+
+def assert_boxed(field, lm, want):
+    """lm's entries, read as field elements, are sympy's matrix `want`."""
+    got = [list(r) for r in lm.mat]
+    assert got == from_sympy(field, want)
+    assert all(type(x) is type(field.zero) for row in got for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_and_apply_match_sympy(data):
+    field = data.draw(st.sampled_from(MAP_FIELDS))
+    a_dom, a_cod, b_dom = data.draw(LEGS), data.draw(LEGS), data.draw(LEGS)
+    vec = data.draw(st.lists(st.integers(-4, 6), min_size=prod(b_dom), max_size=prod(b_dom)))
+    for (ra, a), (rb, b) in zip(data.draw(linmaps(field, a_dom, a_cod)),
+                                data.draw(linmaps(field, b_dom, a_dom))):
+        want = to_sympy(field, ra) * to_sympy(field, rb)
+        assert_boxed(field, a.compose(b), want)
+        for v in (vec, [field.of(x) for x in vec]):
+            col = from_sympy(field, want * to_sympy(field, [[x] for x in v]))
+            got = a.compose(b).apply(v)
+            assert list(got) == [row[0] for row in col]
+            assert all(type(x) is type(field.zero) for x in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_tensor_matches_sympy_kronecker(data):
+    field = data.draw(st.sampled_from(MAP_FIELDS))
+    shapes = [data.draw(LEGS) for _ in range(4)]
+    for (ra, a), (rb, b) in zip(data.draw(linmaps(field, shapes[0], shapes[1])),
+                                data.draw(linmaps(field, shapes[2], shapes[3]))):
+        sa, sb = to_sympy(field, ra), to_sympy(field, rb)
+        # one block row per row of a: the blocks a[r][c] * b side by side
+        blocks = [(row[0] * sb).hstack(*[x * sb for x in row[1:]]) for row in sa.to_list()]
+        t = a.tensor(b)
+        assert (t.dom, t.cod) == (shapes[0] + shapes[2], shapes[1] + shapes[3])
+        assert_boxed(field, t, blocks[0].vstack(*blocks[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_add_sub_and_transpose_match_sympy(data):
+    field = data.draw(st.sampled_from(MAP_FIELDS))
+    dom, cod = data.draw(LEGS), data.draw(LEGS)
+    for (ra, a), (rb, b) in zip(data.draw(linmaps(field, dom, cod)),
+                                data.draw(linmaps(field, dom, cod))):
+        sa, sb = to_sympy(field, ra), to_sympy(field, rb)
+        assert_boxed(field, a.add(b), sa + sb)
+        assert_boxed(field, a.sub(b), sa - sb)
+        assert_boxed(field, a.transpose(), sa.transpose())
+        assert a.sub(a).is_zero() and a.add(b) == b.add(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_regroup_matches_sympy_permutedims(data):
+    """Entry (cod choice, dom choice) of the regrouped map is the entry of
+    sympy's Array of the map's entries with its legs permuted."""
+    field = data.draw(st.sampled_from(MAP_FIELDS))
+    dom, cod = data.draw(LEGS), data.draw(LEGS)
+    legs = cod + dom
+    order = data.draw(st.permutations(range(len(legs))))
+    k = data.draw(st.integers(1, len(legs) - 1))
+    for rows, lm in data.draw(linmaps(field, dom, cod)):
+        cells = [sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                 if field.kind == "Q" else (x if type(x) is int else x.v) % field.p
+                 for row in rows for x in row]
+        moved = sympy.permutedims(sympy.Array(cells, legs), order)
+        flat = list(sympy.flatten(moved.tolist()))
+        ncol = prod(legs[i] for i in order[k:])
+        want = [[Fraction(int(v.p), int(v.q)) if field.kind == "Q" else field.of(int(v))
+                 for v in flat[r:r + ncol]] for r in range(0, len(flat), ncol)]
+        got = lm.regroup(order[:k], order[k:])
+        assert (got.cod, got.dom) == (tuple(legs[i] for i in order[:k]),
+                                      tuple(legs[i] for i in order[k:]))
+        assert [list(r) for r in got.mat] == want

@@ -14,6 +14,7 @@ import pytest
 
 import _probe_reference as ref
 from _rescaled import rescaled_entwining, rescaled_extension, rescaled_factorization
+from _vectors import in_span
 from entwine import actforget, coforget, homspaces, ringext, smash
 from entwine.actforget import FROBENIUS_PRIME_CS
 from entwine.coforget import FROBENIUS_CS
@@ -41,7 +42,6 @@ from entwine.exactlin import (
     ShapeError,
     Term,
     basis_vec,
-    in_span,
     nullspace,
     solve_linear,
     vec_is_zero,

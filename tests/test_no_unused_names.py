@@ -134,12 +134,15 @@ def residual_uses(tree) -> list:
 
 
 SCALAR_TYPES = {"GF", "FpElement"}
-SCALAR_ATTRS = {"v", "numerator", "denominator"}
+# scalar attributes, a LinMap's raw rows and raw constructor, a field's boxer
+SCALAR_ATTRS = {"v", "numerator", "denominator", "_rows", "_from_raw", "_box"}
 
 
 def scalar_layout_uses(tree) -> list:
     """Where a module knows how scalars are stored: it imports or reads `GF`
-    or `FpElement`, or reads `.v`, `.numerator` or `.denominator`."""
+    or `FpElement`, reads `.v`, `.numerator` or `.denominator`, reads a
+    map's raw rows (`._rows`), builds a map from raw rows
+    (`LinMap._from_raw`) or boxes a raw scalar (`Field._box`)."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -151,9 +154,9 @@ def scalar_layout_uses(tree) -> list:
 
 
 def test_only_exactlin_knows_the_scalar_layout():
-    """Residues mod p and Fractions are `exactlin`'s business: the other
-    modules hand it field elements or raw scalars and get field elements
-    or integer vectors back."""
+    """Residues mod p, Fractions and the raw rows a LinMap stores them in
+    are `exactlin`'s business: the other modules hand it field elements or
+    raw scalars and get field elements or integer vectors back."""
     uses = {p.name: scalar_layout_uses(ast.parse(p.read_text()))
             for p in MODULES if p.name != "exactlin.py"}
     assert {name: found for name, found in uses.items() if found} == {}
@@ -168,6 +171,17 @@ def test_the_scan_finds_scalar_layout_uses():
     assert scalar_layout_uses(tree) == ["line 1: import GF", "line 3: .FpElement",
                                         "line 4: .v", "line 4: .numerator",
                                         "line 4: .denominator"]
+
+
+def test_the_scan_finds_raw_map_uses():
+    tree = ast.parse(
+        "from .exactlin import LinMap\n"
+        "nonzero = [len(row) for row in m._rows]\n"
+        "copy = LinMap._from_raw(m.field, m.dom, m.cod, list(m._rows))\n"
+        "x = m.field._box(1)\n"
+        "ok = m.mat[0][0] == m.column(0)[0] == m.entry(0, 0)\n")
+    assert sorted(scalar_layout_uses(tree)) == ["line 2: ._rows", "line 3: ._from_raw",
+                                                "line 3: ._rows", "line 4: ._box"]
 
 
 def test_cli_calls_no_residual_evaluator():

@@ -22,10 +22,8 @@ from entwine.exactlin import (
     QQ,
     basis_vec,
     hom_probe_matrix,
-    in_span,
     kron_vec,
     nullspace,
-    row_space_basis,
     solve_linear,
 )
 from entwine.homspaces import SearchConfig
@@ -50,6 +48,8 @@ from entwine.ringext import (
     split_check,
     tensor_over_R,
 )
+
+from _vectors import in_span, row_space_basis
 
 F2 = Field("Fp", 2)
 F3 = Field("Fp", 3)

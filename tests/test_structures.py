@@ -1,9 +1,13 @@
 """Validators, duals, opposites, and (co)module checks on shelf structures."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entwine.cli import mutate_payload
 from entwine.exactlin import QQ, Field, LinMap, ParseError, basis_vec, iter_multi
 from entwine.structures import (
+    Violation,
     ActionData,
     AlgebraData,
     BialgebraData,
@@ -202,3 +206,60 @@ def test_algebra_map_checker():
     assert check_algebra_map(a, s, emb).ok
     skew = LinMap.from_images(QQ, (1,), (2,), [basis_vec(QQ, 2, 1)])
     assert not check_algebra_map(a, s, skew).ok
+
+
+def _reference_algebra_violations(a):
+    """check_algebra's violations by evaluating products of basis vectors on
+    the structure constants one triple at a time: the first failing
+    (i, j, k) in row-major order at its first coordinate, then the unit on
+    each basis vector, left before right."""
+    n, f = a.dim, a.field
+
+    def product(u, v):
+        out = [f.zero] * n
+        for i, j in iter_multi((n, n)):
+            if u[i] and v[j]:
+                for k in range(n):
+                    out[k] = out[k] + u[i] * v[j] * a.mult[i][j][k]
+        return out
+
+    e = [list(basis_vec(f, n, i)) for i in range(n)]
+    found = []
+    for i, j, k in iter_multi((n, n, n)):
+        lhs, rhs = product(product(e[i], e[j]), e[k]), product(e[i], product(e[j], e[k]))
+        if lhs != rhs:
+            w = next(t for t in range(n) if lhs[t] != rhs[t])
+            found.append(Violation("associativity", (i, j, k),
+                                   "coordinate %d: %s != %s" % (w, lhs[w], rhs[w])))
+            break
+    for i in range(n):
+        if product(list(a.unit), e[i]) != e[i]:
+            found.append(Violation("unit-left", (i,)))
+        if product(e[i], list(a.unit)) != e[i]:
+            found.append(Violation("unit-right", (i,)))
+    return found
+
+
+@st.composite
+def algebra_constants(draw):
+    """Random structure constants and unit, mostly neither associative nor
+    unital, over Q, F2 or F3."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    scalar = st.sampled_from([0, 0, 1, 2, -1]).map(field.of)
+    flat = draw(st.lists(scalar, min_size=n ** 3, max_size=n ** 3))
+    mult = [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    return AlgebraData.make(field, mult, draw(st.lists(scalar, min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_constants())
+def test_check_algebra_reports_what_the_per_triple_check_does(a):
+    assert check_algebra(a).violations == _reference_algebra_violations(a)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_check_algebra_matches_the_per_triple_check_on_shelf_algebras(field):
+    for alg in (matrix_algebra(field, 2), matrix_algebra(field, 3),
+                cyclic_group_algebra(field, 3), mutate_payload(matrix_algebra(field, 2))):
+        assert check_algebra(alg).violations == _reference_algebra_violations(alg)
