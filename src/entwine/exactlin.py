@@ -195,14 +195,11 @@ def GF(p: int) -> type:
 _Q_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 
 
-_SMALL_PRIME = 256
-
-
 @dataclass(frozen=True)
 class Field:
     """Handle for Q (kind='Q') or F_p (kind='Fp', p prime < 2^61).  `_box`
-    makes a field element of a raw scalar; over a small F_p each (immutable)
-    element is made once and shared."""
+    makes a field element of a raw scalar: `Fraction` over Q, the cached
+    element class `GF(p)` over F_p."""
 
     kind: str
     p: Optional[int] = None
@@ -215,9 +212,7 @@ class Field:
                 raise ParseError("Q takes no modulus")
             box = _fraction
         elif self.kind == "Fp":
-            cls = GF(self.p)
-            box = (tuple(map(cls, range(self.p))).__getitem__
-                   if self.p <= _SMALL_PRIME else cls)
+            box = GF(self.p)
         else:
             raise ParseError("unknown field kind %r" % (self.kind,))
         object.__setattr__(self, "_box", box)
@@ -553,9 +548,7 @@ class LinMap:
             raise ShapeError("compose: %r after %r" % (self.cod, other.cod))
         p = _modulus(self.field)
         orows = other._rows
-        # a row with one entry 1 (a row of a permutation) shares the row it picks
-        out = [orows[next(iter(row))] if len(row) == 1 and 1 in row.values()
-               else _row_times(p, row, orows) for row in self._rows]
+        out = [_row_times(p, row, orows) for row in self._rows]
         return LinMap._from_raw(self.field, other.dom, self.cod, out)
 
     def tensor(self, other: "LinMap") -> "LinMap":

@@ -71,9 +71,6 @@ class RingExtension:
     def field(self) -> Field:
         return self.r.field
 
-    def embed(self, rvec) -> tuple:
-        return self.embedding.apply(rvec)
-
 
 def check_extension(ext: RingExtension) -> ValidationReport:
     rep = check_algebra(ext.r, "base algebra")

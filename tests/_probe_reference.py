@@ -30,6 +30,8 @@ from entwine.exactlin import (
     vec_is_zero,
 )
 
+from _vectors import product
+
 
 def probe_rows(field, dom, cod, law_values):
     """The constraint matrix of the laws on X: dom -> cod, with one column
@@ -186,9 +188,9 @@ def tensor_over_R(ext):
     for j in range(nr):
         ij = ext.embedding.column(j)
         for a in range(ns):
-            left = ext.s.product(basis_vec(f, ns, a), ij)   # s_a i(r_j)
+            left = product(ext.s, basis_vec(f, ns, a), ij)   # s_a i(r_j)
             for b in range(ns):
-                right = ext.s.product(ij, basis_vec(f, ns, b))  # i(r_j) s_b
+                right = product(ext.s, ij, basis_vec(f, ns, b))  # i(r_j) s_b
                 row = list(kron_vec(left, basis_vec(f, ns, b)))
                 sub = kron_vec(basis_vec(f, ns, a), right)
                 row = [x - y for x, y in zip(row, sub)]
@@ -222,7 +224,7 @@ def fg_projective_coords(ext, dspace):
     if nd == 0:
         return None
     # prod_table[i][j] = s_i i(r_j) as a vector in S
-    prod_table = [[ext.s.product(basis_vec(f, ns, i), ext.embedding.column(j))
+    prod_table = [[product(ext.s, basis_vec(f, ns, i), ext.embedding.column(j))
                    for j in range(ext.r.dim)] for i in range(ns)]
     rows = [[f.zero] * (ns * nd) for _ in range(ns * ns)]
     rhs = []

@@ -1,9 +1,11 @@
 """Vector and index helpers the tests use and the package does not: sums,
 scalar multiples and dot products of plain tuples of field elements, span
-membership and a row-space basis by exact elimination, and the flat index
-of a multi-index (the inverse of `exactlin.unflatten_index`)."""
+membership and a row-space basis by exact elimination, the flat index of a
+multi-index (the inverse of `exactlin.unflatten_index`), the product of two
+vectors of an algebra and the image of a vector under a ring extension's
+embedding."""
 
-from entwine.exactlin import ShapeError, rref, solve_linear, vec_is_zero
+from entwine.exactlin import ShapeError, kron_vec, rref, solve_linear, vec_is_zero
 
 
 def vec_add(u, v):
@@ -43,3 +45,13 @@ def flatten_index(shape, multi) -> int:
             raise ShapeError("index %r out of range for shape %r" % (multi, shape))
         flat = flat * d + i
     return flat
+
+
+def product(alg, u, v) -> tuple:
+    """u v in the algebra `alg` (an `AlgebraData`), as m(u (x) v)."""
+    return alg.mult_map().apply(kron_vec(u, v))
+
+
+def embed(ext, rvec) -> tuple:
+    """i(r) for the embedding i: R -> S of the ring extension `ext`."""
+    return ext.embedding.apply(rvec)

@@ -49,7 +49,7 @@ from entwine.ringext import (
     tensor_over_R,
 )
 
-from _vectors import in_span, row_space_basis
+from _vectors import embed, in_span, product, row_space_basis
 
 F2 = Field("Fp", 2)
 F3 = Field("Fp", 3)
@@ -87,9 +87,9 @@ def _relation_span(ext):
     for j in range(ext.r.dim):
         ij = ext.embedding.column(j)
         for a in range(ns):
-            left = ext.s.product(basis_vec(f, ns, a), ij)
+            left = product(ext.s, basis_vec(f, ns, a), ij)
             for b in range(ns):
-                right = ext.s.product(ij, basis_vec(f, ns, b))
+                right = product(ext.s, ij, basis_vec(f, ns, b))
                 v = [x - y for x, y in zip(kron_vec(left, basis_vec(f, ns, b)),
                                            kron_vec(basis_vec(f, ns, a), right))]
                 rows.append(v)
@@ -103,17 +103,17 @@ def _nu_ok(ext, numat):
     for j in range(nr):
         ij = ext.embedding.column(j)
         for b in range(ns):
-            left_arg = ext.s.product(ij, basis_vec(f, ns, b))
+            left_arg = product(ext.s, ij, basis_vec(f, ns, b))
             got = [sum((numat[t][u] * left_arg[u] for u in range(ns)), start=f.zero)
                    for t in range(nr)]
             nub = [numat[t][b] for t in range(nr)]
-            want = ext.r.product(basis_vec(f, nr, j), nub)
+            want = product(ext.r, basis_vec(f, nr, j), nub)
             if got != list(want):
                 return False
-            right_arg = ext.s.product(basis_vec(f, ns, b), ij)
+            right_arg = product(ext.s, basis_vec(f, ns, b), ij)
             got = [sum((numat[t][u] * right_arg[u] for u in range(ns)), start=f.zero)
                    for t in range(nr)]
-            want = ext.r.product(nub, basis_vec(f, nr, j))
+            want = product(ext.r, nub, basis_vec(f, nr, j))
             if got != list(want):
                 return False
     return True
@@ -130,11 +130,11 @@ def _casimir_rep_ok(ext, rel, v):
                 w = v[x * ns + y]
                 if not w:
                     continue
-                left = ext.s.product(basis_vec(f, ns, a), basis_vec(f, ns, x))
+                left = product(ext.s, basis_vec(f, ns, a), basis_vec(f, ns, x))
                 for t, lv in enumerate(left):
                     if lv:
                         diff[t * ns + y] = diff[t * ns + y] + w * lv
-                right = ext.s.product(basis_vec(f, ns, y), basis_vec(f, ns, a))
+                right = product(ext.s, basis_vec(f, ns, y), basis_vec(f, ns, a))
                 for t, rv in enumerate(right):
                     if rv:
                         diff[x * ns + t] = diff[x * ns + t] - w * rv
@@ -149,20 +149,20 @@ def _norms(ext, numat, v):
     first = [f.zero] * ns
     second = [f.zero] * ns
     for a in range(ns):
-        nua = ext.embed([numat[t][a] for t in range(nr)])
+        nua = embed(ext, [numat[t][a] for t in range(nr)])
         for b in range(ns):
             w = v[a * ns + b]
             if not w:
                 continue
-            p = ext.s.product(nua, basis_vec(f, ns, b))
+            p = product(ext.s, nua, basis_vec(f, ns, b))
             first = [x + w * y for x, y in zip(first, p)]
     for b in range(ns):
-        nub = ext.embed([numat[t][b] for t in range(nr)])
+        nub = embed(ext, [numat[t][b] for t in range(nr)])
         for a in range(ns):
             w = v[a * ns + b]
             if not w:
                 continue
-            p = ext.s.product(basis_vec(f, ns, a), nub)
+            p = product(ext.s, basis_vec(f, ns, a), nub)
             second = [x + w * y for x, y in zip(second, p)]
     return first, second
 
@@ -192,7 +192,7 @@ def brute_force_facts(ext):
             for b in range(ns):
                 w = v[a * ns + b]
                 if w:
-                    p = ext.s.product(basis_vec(f, ns, a), basis_vec(f, ns, b))
+                    p = product(ext.s, basis_vec(f, ns, a), basis_vec(f, ns, b))
                     mu = [x + w * y for x, y in zip(mu, p)]
         if mu == one:
             sep = True
@@ -520,7 +520,7 @@ def test_dual_morphism_space_matches_bilinear_brute_force_F2():
         ext = make()
         f = F2
         ns = ext.s.dim
-        prod = [[ext.s.product(basis_vec(f, ns, a), basis_vec(f, ns, b))
+        prod = [[product(ext.s, basis_vec(f, ns, a), basis_vec(f, ns, b))
                  for b in range(ns)] for a in range(ns)]
         forms = []
         for bits in itertools.product([f.zero, f.one], repeat=ns * ns):

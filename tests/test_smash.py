@@ -63,6 +63,8 @@ from entwine.structures import (
     dual_algebra,
 )
 
+from _vectors import product
+
 F2 = Field("Fp", 2)
 F3 = Field("Fp", 3)
 FIELDS = [QQ, F2, F3]
@@ -292,7 +294,7 @@ def _raw_v3_holds(fact, kappa_cols):
     for a in range(na):
         ea = tuple(f.one if i == a else f.zero for i in range(na))
         for b in range(nb):
-            lhs = fact.a.product(ea, kappa_cols[b])
+            lhs = product(fact.a, ea, kappa_cols[b])
             rhs = [f.zero] * na
             for b2 in range(nb):
                 for a2 in range(na):
@@ -300,7 +302,7 @@ def _raw_v3_holds(fact, kappa_cols):
                     if not coeff:
                         continue
                     ea2 = tuple(f.one if i == a2 else f.zero for i in range(na))
-                    term = fact.a.product(kappa_cols[b2], ea2)
+                    term = product(fact.a, kappa_cols[b2], ea2)
                     rhs = [x + coeff * y for x, y in zip(rhs, term)]
             if list(lhs) != rhs:
                 return False
@@ -327,7 +329,7 @@ def _raw_w3_holds(fact, e):
                     c = at(i, j, t)
                     if not c:
                         continue
-                    prod = fact.b.product(unit(nb, x), unit(nb, i))
+                    prod = product(fact.b, unit(nb, x), unit(nb, i))
                     for k in range(nb):
                         lhs[(k * nb + j) * na + t] += c * prod[k]
                     for b2 in range(nb):
@@ -335,7 +337,7 @@ def _raw_w3_holds(fact, e):
                             r = fact.r_entry(b2, a2, t, x)
                             if not r:
                                 continue
-                            prod = fact.b.product(unit(nb, j), unit(nb, b2))
+                            prod = product(fact.b, unit(nb, j), unit(nb, b2))
                             for m in range(nb):
                                 rhs[(i * nb + m) * na + a2] += c * r * prod[m]
         if lhs != rhs:
@@ -359,10 +361,10 @@ def _raw_w3_holds(fact, e):
                                     r2 = fact.r_entry(q, a2, a1, j)
                                     if not r2:
                                         continue
-                                    prod = fact.a.product(unit(na, a2), unit(na, t))
+                                    prod = product(fact.a, unit(na, a2), unit(na, t))
                                     for s in range(na):
                                         lhs[(p * nb + q) * na + s] += c * r1 * r2 * prod[s]
-                    prod = fact.a.product(unit(na, t), unit(na, y))
+                    prod = product(fact.a, unit(na, t), unit(na, y))
                     for s in range(na):
                         rhs[(i * nb + j) * na + s] += c * prod[s]
         if lhs != rhs:
