@@ -420,8 +420,8 @@ class LinMap:
     Entry (r, c) is the coefficient of codomain basis vector r in the image
     of domain basis vector c (both flat, row-major).  A map holds its
     entries once, as sparse rows of raw scalars: row r is a dict {c: entry}
-    of its nonzero entries, and a row is never changed once the map holds
-    it, so maps may share rows.  The constructor reads dense rows of field
+    of its nonzero entries, never changed once the map holds it (maps may
+    share rows: `with_shapes`).  The constructor reads dense rows of field
     elements (or plain ints); `mat`, `column`, `entry` and `apply` give
     field elements back, made when they are read.
     """

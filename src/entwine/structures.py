@@ -153,9 +153,8 @@ class AlgebraData:
 
 def check_algebra(a: AlgebraData, subject: str = "algebra") -> ValidationReport:
     """Associativity at the first failing (i, j, k) in row-major order, then
-    the unit on each basis vector, both read off composites of m and u.  The
-    n^2 columns (i, j, k) of one i are compared at a time, so no map on n^3
-    columns is built."""
+    the unit on each basis vector, both read off composites of m and u, the
+    n^2 columns of one i at a time, so no map on n^3 columns is built."""
     rep = ValidationReport(subject)
     n, f = a.dim, a.field
     m, u, idn = a.mult_map(), a.unit_map(), LinMap.identity(f, (n,))
