@@ -33,11 +33,14 @@ fixed maps L and R, and its constraint rows are contracted directly from
 the nonzero entries of L and R (vec(PXQ) = (P (x) Q^T) vec(X) for the
 row-major vec), without evaluating any law on a trial value of X.
 
-Singularity of a square matrix is decided by `is_singular` without
-inverting it: column elimination mod p over F_p, and over Q fraction-free
-elimination on integers (Bareiss 1968: each step divides exactly by the
-previous pivot, so entries stay minors of the matrix and no Fraction is
-built).  Both stop at the first column without a pivot.
+Two questions are decided from the pivot columns alone, without solving:
+`is_singular` (a square matrix has a pivotless column) and
+`is_consistent` (the right-hand side column of [M | b] has no pivot).
+Both run one integer elimination, `_pivotless`: column elimination mod p
+over F_p, and over Q fraction-free elimination on integers (Bareiss 1968:
+each step divides exactly by the previous pivot, so entries stay minors
+of the matrix and no Fraction is built).  It works a column at a time, so
+`is_singular` stops at the first column without a pivot.
 
 Every solution is read off the echelon form by one routine, `_solve`,
 which `solve_linear` (so also `nullspace`) and `LinearLaws` call: the
@@ -539,7 +542,12 @@ class LinMap:
             raise ShapeError("vector length %d != domain dim %d" % (len(vec), self.dim_dom))
         p = _modulus(self.field)
         x = _raw_line(p, vec)
-        acc = {r: sum(a * x[c] for c, a in row.items()) for r, row in enumerate(self._rows)}
+        acc = {}
+        for r, row in enumerate(self._rows):
+            s = 0
+            for c, a in row.items():
+                s += a * x[c]
+            acc[r] = s
         return _dense(self.field, _reduced(p, acc), len(self._rows))
 
     def compose(self, other: "LinMap") -> "LinMap":
@@ -558,7 +566,9 @@ class LinMap:
         out = []
         for arow in self._rows:
             for brow in brows:
-                if p:
+                if not (arow and brow):
+                    out.append({})
+                elif p:
                     out.append({c1 * ncb + c2: x * y % p
                                 for c1, x in arow.items() for c2, y in brow.items()})
                 else:
@@ -822,71 +832,94 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
 
 
 def is_singular(field: Field, rows: Sequence[Sequence]) -> bool:
-    """Whether the square matrix `rows` is singular, without inverting it.
-
-    Entries may be field elements or raw scalars: ints (any residue) over
-    F_p, ints or Fractions over Q.  Over F_p the columns are eliminated mod
-    p; over Q each row is scaled to integers (which keeps the rank) and the
-    columns are eliminated fraction-free by Bareiss's method, where every
-    division is exact.  Both stop at the first column without a pivot.
-    `rows` is not modified.
-    """
+    """Whether the square matrix `rows` is singular, without inverting it:
+    whether some column has no pivot.  Entries are as `_integer_rows` takes
+    them, and `rows` is not modified."""
     p = _modulus(field)
+    return next(_pivotless(p, _integer_rows(p, rows), len(rows)), None) is not None
+
+
+def is_consistent(field: Field, rows: Sequence[Sequence], rhs: Sequence) -> bool:
+    """Whether M x = b has a solution, without solving it: whether the last
+    column of [M | b] has no pivot.  Entries are as `_integer_rows` takes
+    them.  Scaling M or b by a nonzero scalar keeps the answer, so over Q
+    an integer multiple of each will do."""
+    n = len(rows[0]) if rows else 0
+    p = _modulus(field)
+    return n in _pivotless(p, _integer_rows(p, [[*row, b] for row, b in zip(rows, rhs)]),
+                           n + 1)
+
+
+def _integer_rows(p: int, rows: Sequence[Sequence]) -> list[list[int]]:
+    """Rows of field elements or raw scalars (ints with any residue over
+    F_p; ints or Fractions over Q) -> integer rows for `_pivotless`, zero
+    rows dropped: residues over F_p, and over Q each row scaled to integers,
+    which keeps the pivot columns."""
     if p:
         try:
             m = [[x % p for x in row] for row in rows]
         except TypeError:  # field elements
             m = [_raw_line(p, row) for row in rows]
-        return _singular_mod(p, m)
-    try:
-        m = [list(map(operator.index, row)) for row in rows]
-    except TypeError:  # Fractions
-        m = []
-        for row in rows:
-            line = [Fraction(x) for x in row]
-            den = math.lcm(*(x.denominator for x in line))
-            m.append([x.numerator * (den // x.denominator) for x in line])
-    return _singular_bareiss(m)
+    else:
+        try:
+            m = [list(map(operator.index, row)) for row in rows]
+        except TypeError:  # Fractions
+            m = []
+            for row in rows:
+                line = [Fraction(x) for x in row]
+                den = math.lcm(*(x.denominator for x in line))
+                m.append([x.numerator * (den // x.denominator) for x in line])
+    return [row for row in m if any(row)]
 
 
-def _singular_mod(p: int, m: list[list[int]]) -> bool:
-    """Column elimination mod p in place, stopping at a pivotless column."""
-    n = len(m)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
+def _pivotless(p: int, m: list[list[int]], ncols: int) -> Iterator[int]:
+    """Eliminate the integer rows `m` in place, column by column from the
+    left, and yield each of the columns 0..ncols-1 that has no pivot.  A
+    column is only eliminated once the caller asks past it, so a caller
+    that stops at the first pivotless column pays for no more."""
+    return _pivotless_mod(p, m, ncols) if p else _pivotless_bareiss(m, ncols)
+
+
+def _pivotless_mod(p: int, m: list[list[int]], ncols: int) -> Iterator[int]:
+    """`_pivotless` on residues mod p."""
+    r = 0
+    for k in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][k]), None)
         if piv is None:
-            return True
-        m[k], m[piv] = m[piv], m[k]
-        top = m[k]
+            yield k
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        r += 1
         inv = pow(top[k], -1, p)
-        tail = [(c, top[c]) for c in range(k + 1, n) if top[c]]
-        for row in m[k + 1:]:
+        tail = [(c, top[c]) for c in range(k + 1, ncols) if top[c]]
+        for row in m[r:]:
             if row[k]:
                 f = row[k] * inv % p
                 for c, v in tail:
                     row[c] = (row[c] - f * v) % p
-    return False
 
 
-def _singular_bareiss(m: list[list[int]]) -> bool:
-    """Fraction-free (Bareiss) column elimination over Z in place, stopping
-    at a pivotless column.  After step k every entry below the pivots is a
-    minor of the matrix, so the division by the previous pivot is exact."""
-    n = len(m)
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
+def _pivotless_bareiss(m: list[list[int]], ncols: int) -> Iterator[int]:
+    """`_pivotless` over Z, fraction-free (Bareiss).  After each pivot every
+    entry below the pivots is a minor of the matrix on the pivot columns so
+    far and its own column, so the division by the previous pivot is exact;
+    a pivotless column is all zero below the pivots and changes nothing."""
+    r, prev = 0, 1
+    for k in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][k]), None)
         if piv is None:
-            return True
-        m[k], m[piv] = m[piv], m[k]
-        top = m[k]
+            yield k
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        r += 1
         a = top[k]
-        for row in m[k + 1:]:
+        for row in m[r:]:
             b = row[k]
-            for c in range(k + 1, n):
+            for c in range(k + 1, ncols):
                 row[c] = (a * row[c] - b * top[c]) // prev
         prev = a
-    return False
 
 
 def solve_linear(field: Field, rows: Sequence[Sequence], rhs: Sequence):

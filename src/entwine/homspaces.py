@@ -18,27 +18,31 @@ invertibility search tries the seeded random points first: the invertible
 maps of a span are the complement of the determinant's zero set, so if
 there is one, a random point is one with high probability (Schwartz 1980;
 Zippel 1979), while the early lexicographic points are sparse and mostly
-singular.  The bilinear search keeps the grid first: whether
-pair(w, v) = target is solvable is not an open condition in w, and the
-sparse early grid points give sparse witnesses.  `iso_exists` adds a "no"
-certificate to the invertibility scan: if X and Y are isomorphic, then
-Hom(Y, X), End X and End Y all have the dimension of Hom(X, Y).  It is
-consulted once, when the first `trials` points have missed or an
-incomplete scan ends.
+singular.  The bilinear search does the same over F_p, where an
+incomplete scan needs more than `enum_budget` projective points and its
+early lexicographic points, nearly all zero, rarely hit.  Over Q it keeps
+the grid first: whether pair(w, v) = target is solvable is not an open
+condition in w, and the sparse early grid points give sparse witnesses.
+Either way only the order of an incomplete scan changes, and a "no" still
+needs a complete one.  `iso_exists` adds a "no" certificate to the
+invertibility scan: if X and Y are isomorphic, then Hom(Y, X), End X and
+End Y all have the dimension of Hom(X, Y).  It is consulted once, when the
+first `trials` points have missed or an incomplete scan ends.
 
 Per point, both run on raw scalars, in the integer form
 `exactlin.integer_vectors` gives (residues over F_p; over Q the vectors
 scaled by a common denominator).  `find_invertible_in_span` combines the
 candidate on integers and decides invertibility with
 `exactlin.is_singular`, without inverting; only the hit is built as a map
-and inverted.  A Frobenius search solves, at each candidate w, the laws
-pair(w, v) = target for the unknown v, where `pair` is bilinear:
+and inverted.  A Frobenius search asks, at each candidate w, whether the
+laws pair(w, v) = target have a solution v, where `pair` is bilinear:
 `BilinearSystem` tabulates pair on basis pairs once, combines each point's
-rows from the table on integers and hands them to `solve_linear` as they
-are (unreduced ints over F_p, Fractions over Q), with no field element
-built per point.  Before a complete scan says "no", one scanned point's
-system is rebuilt by evaluating the laws directly, and a mismatch is an
-internal error.
+rows from the table on integers and decides the point with
+`exactlin.is_consistent`, a rank test on those integers, with no field
+element built per point.  Only the hit is solved, by `solve_linear`.
+Before a complete scan says "no", one scanned point's system is rebuilt
+by evaluating the laws directly and solved; a mismatch with the table, or
+a solution the rank test missed, is an internal error.
 
 Every decider asks its question through one of two pipelines.
 `decide_normalized` settles a separability or splitting question with one
@@ -70,6 +74,7 @@ from .exactlin import (
     Term,
     basis_vec,
     integer_vectors,
+    is_consistent,
     is_singular,
     linear_combination,
     solve_linear,
@@ -262,7 +267,9 @@ def search_candidates(field: Field, dim: int, attempt: Callable[[list], Optional
     (mode projective-partial).  That suits a condition that holds on a
     Zariski-open set, such as invertibility: when it holds anywhere, a
     random point almost always hits (Schwartz 1980; Zippel 1979), while the
-    early lexicographic points are sparse and mostly fail it.
+    early lexicographic points are sparse and mostly fail it.  The
+    invertibility search always passes it; the bilinear search passes it
+    over F_p only.
 
     `refute`, if given, is called at most once: before the scan goes on
     past its first `cfg.trials` points, all missed (never, for 0 trials),
@@ -344,15 +351,24 @@ def flat(lm: LinMap) -> list:
 
 
 class _IntSpan:
-    """Integer combinations of fixed integer vectors.  The partial sums over
-    the coefficients the previous point shares as a prefix are reused:
+    """Integer combinations of integer vectors.  The partial sums over the
+    coefficients the previous point shares as a prefix are reused:
     enumerated points mostly differ from their predecessor in the last few
-    coordinates only."""
+    coordinates only.
 
-    def __init__(self, vecs: Sequence[Sequence[int]], length: int):
-        self.vecs = vecs
+    A vector may be None until some point has a nonzero coefficient on it:
+    setting it then leaves the sums valid, since every earlier point had
+    coefficient 0 there.  `scale` multiplies every vector by one integer."""
+
+    def __init__(self, vecs: Sequence[Optional[Sequence[int]]], length: int):
+        self.vecs = list(vecs)
         self.prev: list = []
         self.sums = [[0] * length]  # sums[k] = sum_{i<k} prev_i vecs_i
+
+    def scale(self, k: int):
+        self.vecs = [None if v is None else [x * k for x in v] for v in self.vecs]
+        self.prev = []
+        del self.sums[1:]
 
     def at(self, coeffs: Sequence[int]) -> list[int]:
         k = 0
@@ -540,11 +556,16 @@ class BilinearSystem:
 
     At a candidate point c the laws are the linear system
     sum_j x_j (sum_i c_i pair(W_i, V_j)) = target in the unknown's
-    coordinates x.  `tabulated` builds it from the table
-    pair(W_i, V_j), whose row i is filled the first time a point has
-    c_i != 0, by combining integers; `probed` evaluates pair on the
-    combined candidate and each V_j.  Both give the same rows and
-    right-hand side.
+    coordinates x.  The system keeps the table pair(W_i, V_j) as the
+    vectors of one `_IntSpan` for its whole life: row i is filled the first
+    time a point has c_i != 0, in integers over a common denominator D
+    (1 over F_p) that grows, rescaling the filled rows, when a new row
+    needs it.  At a point the span combines the rows on integers, reusing
+    the sums of the previous point's prefix.  `consistent` decides the
+    point from those integers with `exactlin.is_consistent`, and
+    `tabulated` reads the same integers as the system's rows.  `probed`
+    evaluates pair on the combined candidate and each V_j; it gives the
+    same rows and right-hand side as `tabulated`.
     """
 
     def __init__(self, field: Field, cands: Sequence, unknowns: Sequence, zero,
@@ -552,7 +573,11 @@ class BilinearSystem:
         self.field = field
         self.cands, self.unknowns, self.zero = cands, unknowns, zero
         self.pair, self.target = pair, list(target)
-        self._table: dict = {}  # i -> (ints of pair(W_i, V_j) for all j, j-major; d)
+        # vector i of the span: pair(W_i, V_j) for all j, j-major, times
+        # the common denominator self._den, as integers
+        self._span = _IntSpan([None] * len(cands), len(unknowns) * len(self.target))
+        self._den = 1
+        (self._rhs,), _ = integer_vectors(field, [self.target])
 
     def candidate(self, coeffs: Sequence):
         return combine(self.field, self.cands, coeffs)
@@ -560,28 +585,39 @@ class BilinearSystem:
     def unknown(self, coeffs: Sequence):
         return combine(self.field, self.unknowns, coeffs, self.zero)
 
-    def _row(self, i: int):
-        row = self._table.get(i)
-        if row is None:
-            vals = [x for v in self.unknowns for x in self.pair(self.cands[i], v)]
-            (ints,), d = integer_vectors(self.field, [vals])
-            row = self._table[i] = (ints, d)
-        return row
+    def _fill(self, i: int):
+        vals = [x for v in self.unknowns for x in self.pair(self.cands[i], v)]
+        (ints,), d = integer_vectors(self.field, [vals])
+        den = math.lcm(self._den, d)
+        if den != self._den:
+            self._span.scale(den // self._den)
+            self._den = den
+        self._span.vecs[i] = [x * (den // d) for x in ints]
+
+    def _combined(self, coeffs: Sequence):
+        """The system's rows at a point as integers, and the denominator
+        they stand over."""
+        (ints,), d = integer_vectors(self.field, [coeffs])
+        vecs = self._span.vecs
+        for i, s in enumerate(ints):
+            if s and vecs[i] is None:
+                self._fill(i)
+        acc, m = self._span.at(ints), len(self.target)
+        return [acc[r::m] for r in range(m)], self._den * d
+
+    def consistent(self, coeffs: Sequence) -> bool:
+        """Whether the system at a point has a solution.  Its integer rows
+        and the target's integer form are nonzero multiples of its rows
+        and right-hand side, which keeps the answer."""
+        return is_consistent(self.field, self._combined(coeffs)[0], self._rhs)
 
     def tabulated(self, coeffs: Sequence):
         """(rows, rhs) of the system at a point, from the table; the rows are
         raw scalars (unreduced ints over F_p, Fractions over Q)."""
-        f = self.field
-        nv, m = len(self.unknowns), len(self.target)
-        (ints,), d = integer_vectors(f, [coeffs])
-        used = [(s, self._row(i)) for i, s in enumerate(ints) if s]
-        den = math.lcm(*(rd for _, (_, rd) in used))
-        acc = _IntSpan([r for _, (r, _) in used], nv * m).at(
-            [s * (den // rd) for s, (_, rd) in used])
-        if f.kind == "Q":
-            den *= d
-            acc = [Fraction(x, den) for x in acc]
-        return [acc[r::m] for r in range(m)], list(self.target)
+        rows, den = self._combined(coeffs)
+        if self.field.kind == "Q":
+            rows = [[Fraction(x, den) for x in row] for row in rows]
+        return rows, list(self.target)
 
     def probed(self, coeffs: Sequence):
         """(rows, rhs) of the system at a point, by evaluating the laws on
@@ -591,12 +627,18 @@ class BilinearSystem:
         return [[col[i] for col in cols] for i in range(len(self.target))], list(self.target)
 
     def search(self, cfg: SearchConfig):
-        """Scan candidate points with `search_candidates`, solving each
-        point's tabulated system; returns ((w, v) or None, complete, meta).
+        """Scan candidate points with `search_candidates`, deciding each
+        point with `consistent`; returns ((w, v) or None, complete, meta).
+        Over F_p the seeded random points go first when the scan cannot be
+        complete; over Q the grid does.
 
-        Before a complete scan reports no solution, the system of one
-        scanned point (the first with every coefficient nonzero, else the
-        last) is rebuilt by `probed` and must equal the tabulated one."""
+        Only a point `consistent` accepts is solved, by `solve_linear` on its
+        tabulated system, and v is that solution.  If it has none, the two
+        disagree: an internal error.  Before a complete scan reports no
+        solution, the system of one scanned point (the first with every
+        coefficient nonzero, else the last) is rebuilt by `probed`.  It must
+        equal the tabulated one, and `solve_linear` must find it has no
+        solution; either failure is an internal error."""
         f = self.field
         check_at = None
 
@@ -604,17 +646,24 @@ class BilinearSystem:
             nonlocal check_at
             if check_at is None or not all(check_at):
                 check_at = coeffs
-            rows, rhs = self.tabulated(coeffs)
-            part, _ = solve_linear(f, rows, rhs)
-            if part is None:
+            if not self.consistent(coeffs):
                 return None
+            part, _ = solve_linear(f, *self.tabulated(coeffs))
+            if part is None:
+                raise InternalCheckError(
+                    "the rank test accepts a Frobenius system that has no solution")
             return self.candidate(coeffs), self.unknown(part)
 
-        hit, complete, meta = search_candidates(f, len(self.cands), attempt, cfg)
+        hit, complete, meta = search_candidates(f, len(self.cands), attempt, cfg,
+                                                random_first=f.kind == "Fp")
         if hit is None and complete and check_at is not None:
-            if self.tabulated(check_at) != self.probed(check_at):
+            probed = self.probed(check_at)
+            if self.tabulated(check_at) != probed:
                 raise InternalCheckError(
                     "tabulated Frobenius system differs from direct evaluation")
+            if solve_linear(f, *probed)[0] is not None:
+                raise InternalCheckError(
+                    "the rank test rejects a Frobenius system that has a solution")
         return hit, complete, meta
 
 

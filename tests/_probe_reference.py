@@ -13,7 +13,8 @@ equal, not just span the same space.
 The per-basis operators and hand-indexed loops the package once used are
 kept here as references too: the W3 operators, the matrices of the dual
 actions solved for coordinate by coordinate, and the loops that built the
-relations of S (x)_R S and the projectivity system.
+relations of S (x)_R S and the projectivity system.  So is the Frobenius
+search that solved every scanned point instead of rank-testing it.
 """
 
 from entwine import actforget, coforget, homspaces, ringext, smash
@@ -402,3 +403,19 @@ def smash_frobenius_system(fact):
         return affine_system(f, v3.dim, residual)
 
     return at
+
+
+def solve_every_point(system, cfg):
+    """`BilinearSystem.search` without the rank test: every scanned point's
+    system is rebuilt by `probed` and solved by `solve_linear`, and the
+    first solvable point is the hit.  Returns what `search` returns."""
+    f = system.field
+
+    def attempt(coeffs):
+        part, _ = solve_linear(f, *system.probed(coeffs))
+        if part is None:
+            return None
+        return system.candidate(coeffs), system.unknown(part)
+
+    return homspaces.search_candidates(f, len(system.cands), attempt, cfg,
+                                       random_first=f.kind == "Fp")

@@ -443,6 +443,20 @@ def test_speed_guard_iso_routes_hit_in_the_random_phase():
                                   v.witness["e"]) == []
 
 
+def test_speed_guard_search_route_over_fp_hits_in_the_random_phase():
+    """k -> M4/F3 ext-frob on the search route: 3^16 Casimir candidates do
+    not fit the budget, so the seeded random points go first and one of
+    them hits.  Grid-first, the projective enumeration hit only at its
+    6814th point (3.4 s)."""
+    ext = unit_extension(F3, matrix_algebra(F3, 4))
+    with budget(1.5):
+        v = frobenius_check(ext, route="search")
+    assert v.status == "yes" and v.meta["points"] <= SearchConfig().trials
+    assert v.meta["mode"] == "projective-partial"
+    assert ext_frobenius_residual(ext, tensor_over_R(ext), v.witness["nu"],
+                                  v.witness["e"]) == []
+
+
 @pytest.mark.parametrize("field,n", [(F3, 4), (QQ, 3)])
 def test_speed_guard_iso_route_refutes_by_hom_dimensions(field, n):
     """flip(T2, GLn) FpGp-frob on the iso route, over F3 with n = 4 and over

@@ -16,6 +16,7 @@ from entwine.exactlin import (
     ShapeError,
     basis_vec,
     hom_probe_matrix,
+    is_consistent,
     is_prime,
     iter_multi,
     kron_vec,
@@ -244,6 +245,80 @@ def test_solution_substitutes_over_q(nr, nc, data):
     for v in kern:
         for row in rows:
             assert dot(row, v) == 0
+
+
+# -- consistency without solving ------------------------------------------------
+
+CONSISTENCY_FIELDS = (F2, F3, QQ)
+
+
+@st.composite
+def augmented_systems(draw):
+    """(field, rows, rhs) with 0-4 equations in 0-4 unknowns.  Over F_p the
+    entries are unreduced ints or field elements; over Q, ints or Fractions
+    with mixed denominators.  Some draws zero out a row, zero the right-hand
+    side, or make a row a combination of the others, with the right-hand
+    side either the same combination (consistent) or not."""
+    field = draw(st.sampled_from(CONSISTENCY_FIELDS))
+    nr, nc = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if field.kind == "Q":
+        scalar = st.one_of(st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    else:
+        scalar = st.one_of(st.integers(-7, 7), st.integers(0, field.p - 1).map(field.of))
+    rows = [[draw(scalar) for _ in range(nc)] for _ in range(nr)]
+    rhs = [draw(scalar) for _ in range(nr)]
+    how = draw(st.sampled_from(["plain", "zero row", "zero rhs", "combination"]))
+    if how == "zero row" and nr:
+        rows[draw(st.integers(0, nr - 1))] = [0] * nc
+    elif how == "zero rhs":
+        rhs = [0] * nr
+    elif how == "combination" and nr > 1:
+        target = draw(st.integers(0, nr - 1))
+        combo, b = [0] * nc, 0
+        for i in range(nr):
+            if i != target:
+                w = draw(scalar)
+                combo = [c + w * x for c, x in zip(combo, rows[i])]
+                b = b + w * rhs[i]
+        rows[target] = combo
+        rhs[target] = b + draw(st.sampled_from([0, 1]))
+    return field, rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(augmented_systems())
+def test_is_consistent_matches_solve_linear(case):
+    """The rank test says "consistent" exactly when `solve_linear` finds a
+    particular solution, on raw scalars and on field elements alike; the
+    input is left unmodified."""
+    field, rows, rhs = case
+    want = solve_linear(field, rows, rhs)[0] is not None
+    before = ([list(r) for r in rows], list(rhs))
+    assert is_consistent(field, rows, rhs) == want
+    assert ([list(r) for r in rows], list(rhs)) == before
+    boxed = [[field.of(x) if type(x) is int else x for x in r] for r in rows]
+    assert is_consistent(field, boxed, [field.of(x) if type(x) is int else x
+                                        for x in rhs]) == want
+
+
+@pytest.mark.parametrize("field,rows,rhs,want", [
+    (QQ, [], [], True),                                  # no equations
+    (QQ, [[], []], [0, 0], True),                        # no unknowns
+    (F3, [[], []], [0, 4], False),                       # no unknowns, 4 = 1 mod 3
+    (F2, [[0, 0], [0, 0]], [0, 0], True),                # all-zero rows
+    (F2, [[0, 0], [0, 0]], [0, 1], False),
+    (QQ, [[1, 2], [2, 4]], [0, 0], True),                # zero right-hand side
+    (QQ, [[Fraction(1, 2), Fraction(1, 3)], [3, 2]],
+     [Fraction(1, 6), 1], True),                         # mixed denominators
+    (QQ, [[Fraction(1, 2), Fraction(1, 3)], [3, 2]],
+     [Fraction(1, 6), Fraction(1, 2)], False),
+    (F3, [[4, -2], [5, 8]], [7, -1], True),              # unreduced: [[1, 1], [2, 2]], [1, 2]
+    (F3, [[4, -2], [5, 8]], [7, 1], False),
+])
+def test_is_consistent_edge_cases(field, rows, rhs, want):
+    assert is_consistent(field, rows, rhs) == want
+    assert (solve_linear(field, rows, rhs)[0] is not None) == want
 
 
 def test_in_span():
