@@ -2,7 +2,9 @@
 the corpus.
 
 Structure files are a single JSON document with scalars as strings ("3/2"
-is accepted over Q, and over F_p when the denominator is invertible):
+is accepted over Q, and over F_p when the denominator is
+invertible).  The format is the table FORMAT below, which parsing,
+serializing and kind lookup all read; this docstring summarises it:
 
     {"field": {"kind": "Q"} | {"kind": "Fp", "p": 5},
      <exactly one of>
@@ -39,6 +41,7 @@ import argparse
 import json
 import sys
 import time
+from math import prod
 
 from . import __version__
 from .actforget import Fprime_separable, FprimeGprime_frobenius, Gprime_separable
@@ -94,9 +97,6 @@ from .structures import (
     CoalgebraData,
 )
 
-PAYLOAD_KEYS = ("algebra", "coalgebra", "bialgebra", "entwining", "doi_hopf",
-                "factorization", "ring_extension")
-
 QUESTIONS = ("F-sep", "G-sep", "FG-frob", "Fp-sep", "Gp-sep", "FpGp-frob",
              "ext-split", "ext-sep", "ext-frob",
              "smash-over-A", "smash-over-B", "cross-check")
@@ -127,33 +127,19 @@ def _list(node, path):
     return node
 
 
-def _scalar(field, node, path):
-    try:
-        return field.parse(node)
-    except ParseError as ex:
-        raise ParseError("%s: %s" % (path, ex)) from None
-
-
 def _vec(field, node, path):
-    return [_scalar(field, x, "%s[%d]" % (path, i))
-            for i, x in enumerate(_list(node, path))]
-
-
-def _rows(field, node, path):
-    out, ncols = [], None
-    for i, row in enumerate(_list(node, path)):
-        r = _vec(field, row, "%s[%d]" % (path, i))
-        if ncols is None:
-            ncols = len(r)
-        if len(r) != ncols:
-            _at("%s[%d]" % (path, i), "ragged row (expected %d entries)" % ncols)
-        out.append(r)
+    out = []
+    for i, x in enumerate(_list(node, path)):
+        try:
+            out.append(field.parse(x))
+        except ParseError as ex:
+            _at("%s[%d]" % (path, i), ex)
     return out
 
 
 def _nested(field, node, path, depth):
-    if depth == 0:
-        return _scalar(field, node, path)
+    if depth == 1:
+        return _vec(field, node, path)
     return [_nested(field, x, "%s[%d]" % (path, i), depth - 1)
             for i, x in enumerate(_list(node, path))]
 
@@ -167,116 +153,88 @@ def _shape(node, dims, path):
         _shape(sub, dims[1:], "%s[%d]" % (path, i))
 
 
-def parse_algebra(field, doc, path="algebra") -> AlgebraData:
-    doc = _dict(doc, path)
-    if set(doc) != {"mult", "unit"}:
-        _at(path, "expected exactly the keys mult, unit")
-    unit = _vec(field, doc["unit"], path + ".unit")
-    n = len(unit)
-    if n == 0:
-        _at(path + ".unit", "empty basis")
-    mult = _nested(field, doc["mult"], path + ".mult", 3)
-    _shape(mult, (n, n, n), path + ".mult")
-    return AlgebraData.make(field, mult, unit)
+def _matrix(field, node, path, dom, cod):
+    rows = []
+    for i, row in enumerate(_list(node, path)):
+        rows.append(_vec(field, row, "%s[%d]" % (path, i)))
+        if len(rows[i]) != len(rows[0]):
+            _at("%s[%d]" % (path, i), "ragged row (expected %d entries)" % len(rows[0]))
+    if len(rows) != prod(cod) or (rows and len(rows[0]) != prod(dom)):
+        _at(path, "expected a %dx%d matrix" % (prod(cod), prod(dom)))
+    return LinMap.from_rows(field, dom, cod, rows)
 
 
-def parse_coalgebra(field, doc, path="coalgebra") -> CoalgebraData:
-    doc = _dict(doc, path)
-    if set(doc) != {"comult", "counit"}:
-        _at(path, "expected exactly the keys comult, counit")
-    counit = _vec(field, doc["counit"], path + ".counit")
-    n = len(counit)
-    if n == 0:
-        _at(path + ".counit", "empty basis")
-    comult = _nested(field, doc["comult"], path + ".comult", 3)
-    _shape(comult, (n, n, n), path + ".comult")
-    return CoalgebraData.make(field, comult, counit)
+# A field's spec is a payload kind (a key of FORMAT), or a tuple:
+#   (BASIS,)                 a nonempty vector; its length is the dimension
+#   (TENSOR, dom, cod)       nested constants t[dom legs...][cod legs...]
+#   (MATRIX, dom, cod)       a dense row-major matrix, codomain x domain
+#   (SIDED, cls, dom, cod)   {"side": "right", "map": <matrix>}, read as cls
+# dom and cod name the fields before it whose dimensions are the legs.
+BASIS, TENSOR, MATRIX, SIDED = "basis", "tensor", "matrix", "sided"
 
-
-def parse_bialgebra(field, doc, path="bialgebra") -> BialgebraData:
-    doc = _dict(doc, path)
-    if set(doc) != {"algebra", "coalgebra"}:
-        _at(path, "expected exactly the keys algebra, coalgebra")
-    return BialgebraData.make(parse_algebra(field, doc["algebra"], path + ".algebra"),
-                              parse_coalgebra(field, doc["coalgebra"],
-                                              path + ".coalgebra"))
-
-
-def parse_entwining(field, doc, path="entwining") -> Entwining:
-    doc = _dict(doc, path)
-    if set(doc) != {"algebra", "coalgebra", "psi"}:
-        _at(path, "expected exactly the keys algebra, coalgebra, psi")
-    a = parse_algebra(field, doc["algebra"], path + ".algebra")
-    c = parse_coalgebra(field, doc["coalgebra"], path + ".coalgebra")
-    psi = _nested(field, doc["psi"], path + ".psi", 4)
-    _shape(psi, (c.dim, a.dim, a.dim, c.dim), path + ".psi")
-    return Entwining.make(a, c, psi)
-
-
-def _parse_sided_map(field, doc, path, dom, cod, cls):
-    doc = _dict(doc, path)
-    if set(doc) != {"side", "map"}:
-        _at(path, "expected exactly the keys side, map")
-    if doc["side"] != "right":
-        _at(path + ".side", "only right-sided data is supported")
-    rows = _rows(field, doc["map"], path + ".map")
-    flat_dom, flat_cod = 1, 1
-    for d in dom:
-        flat_dom *= d
-    for d in cod:
-        flat_cod *= d
-    if len(rows) != flat_cod or (rows and len(rows[0]) != flat_dom):
-        _at(path + ".map", "expected a %dx%d matrix" % (flat_cod, flat_dom))
-    return cls("right", LinMap.from_rows(field, dom, cod, rows))
-
-
-def parse_doi_hopf(field, doc, path="doi_hopf") -> DoiHopfDatum:
-    doc = _dict(doc, path)
-    want = {"bialgebra", "algebra", "coalgebra", "coaction", "action"}
-    if set(doc) != want:
-        _at(path, "expected exactly the keys %s" % ", ".join(sorted(want)))
-    h = parse_bialgebra(field, doc["bialgebra"], path + ".bialgebra")
-    a = parse_algebra(field, doc["algebra"], path + ".algebra")
-    c = parse_coalgebra(field, doc["coalgebra"], path + ".coalgebra")
-    coact = _parse_sided_map(field, doc["coaction"], path + ".coaction",
-                             (a.dim,), (a.dim, h.algebra.dim), CoactionData)
-    act = _parse_sided_map(field, doc["action"], path + ".action",
-                           (c.dim, h.algebra.dim), (c.dim,), ActionData)
-    return DoiHopfDatum(h, a, c, coact, act)
-
-
-def parse_factorization(field, doc, path="factorization") -> Factorization:
-    doc = _dict(doc, path)
-    if set(doc) != {"algebra_b", "algebra_a", "rmap"}:
-        _at(path, "expected exactly the keys algebra_b, algebra_a, rmap")
-    b = parse_algebra(field, doc["algebra_b"], path + ".algebra_b")
-    a = parse_algebra(field, doc["algebra_a"], path + ".algebra_a")
-    rmap = _nested(field, doc["rmap"], path + ".rmap", 4)
-    _shape(rmap, (a.dim, b.dim, b.dim, a.dim), path + ".rmap")
-    return Factorization.make(b, a, rmap)
-
-
-def parse_ring_extension(field, doc, path="ring_extension") -> RingExtension:
-    doc = _dict(doc, path)
-    if set(doc) != {"base", "total", "embedding"}:
-        _at(path, "expected exactly the keys base, total, embedding")
-    r = parse_algebra(field, doc["base"], path + ".base")
-    s = parse_algebra(field, doc["total"], path + ".total")
-    rows = _rows(field, doc["embedding"], path + ".embedding")
-    if len(rows) != s.dim or (rows and len(rows[0]) != r.dim):
-        _at(path + ".embedding", "expected a %dx%d matrix" % (s.dim, r.dim))
-    return RingExtension(r, s, LinMap.from_rows(field, (r.dim,), (s.dim,), rows))
-
-
-_PARSERS = {
-    "algebra": parse_algebra,
-    "coalgebra": parse_coalgebra,
-    "bialgebra": parse_bialgebra,
-    "entwining": parse_entwining,
-    "doi_hopf": parse_doi_hopf,
-    "factorization": parse_factorization,
-    "ring_extension": parse_ring_extension,
+# kind -> (class, builder(field, *fields in parse order), fields); a field is
+# (key, attribute of the class, spec)
+FORMAT = {
+    "algebra": (AlgebraData, lambda f, unit, mult: AlgebraData.make(f, mult, unit), (
+        ("unit", "unit", (BASIS,)), ("mult", "mult", (TENSOR, ("unit", "unit"), ("unit",))))),
+    "coalgebra": (CoalgebraData, lambda f, eps, d: CoalgebraData.make(f, d, eps), (
+        ("counit", "counit", (BASIS,)),
+        ("comult", "comult", (TENSOR, ("counit",), ("counit", "counit"))))),
+    "bialgebra": (BialgebraData, lambda f, a, c: BialgebraData.make(a, c), (
+        ("algebra", "algebra", "algebra"), ("coalgebra", "coalgebra", "coalgebra"))),
+    "entwining": (Entwining, lambda f, a, c, psi: Entwining.make(a, c, psi), (
+        ("algebra", "a", "algebra"), ("coalgebra", "c", "coalgebra"),
+        ("psi", "psi", (TENSOR, ("c", "a"), ("a", "c"))))),
+    "doi_hopf": (DoiHopfDatum, lambda f, *parts: DoiHopfDatum(*parts), (
+        ("bialgebra", "h", "bialgebra"), ("algebra", "a", "algebra"),
+        ("coalgebra", "c", "coalgebra"),
+        ("coaction", "coaction", (SIDED, CoactionData, ("a",), ("a", "h"))),
+        ("action", "action", (SIDED, ActionData, ("c", "h"), ("c",))))),
+    "factorization": (Factorization, lambda f, b, a, r: Factorization.make(b, a, r), (
+        ("algebra_b", "b", "algebra"), ("algebra_a", "a", "algebra"),
+        ("rmap", "rmap", (TENSOR, ("a", "b"), ("b", "a"))))),
+    "ring_extension": (RingExtension, lambda f, r, s, i: RingExtension(r, s, i), (
+        ("base", "r", "algebra"), ("total", "s", "algebra"),
+        ("embedding", "embedding", (MATRIX, ("r",), ("s",))))),
 }
+
+PAYLOAD_KEYS = tuple(FORMAT)
+
+
+def _parse(field, kind, node, path):
+    """Read one payload of the given kind, checking each field in turn."""
+    _, build, fields = FORMAT[kind]
+    node = _dict(node, path)
+    keys = sorted(key for key, _, _ in fields)
+    if set(node) != set(keys):
+        _at(path, "expected exactly the keys %s" % ", ".join(keys))
+    values, dims = [], {}
+    for key, attr, spec in fields:
+        sub = "%s.%s" % (path, key)
+        if isinstance(spec, str):
+            value = _parse(field, spec, node[key], sub)
+            dims[attr] = value.dim
+        elif spec[0] == BASIS:
+            value = _vec(field, node[key], sub)
+            if not value:
+                _at(sub, "empty basis")
+            dims[attr] = len(value)
+        else:
+            dom, cod = (tuple(dims[a] for a in legs) for legs in spec[-2:])
+            if spec[0] == TENSOR:
+                value = _nested(field, node[key], sub, len(dom) + len(cod))
+                _shape(value, dom + cod, sub)
+            elif spec[0] == MATRIX:
+                value = _matrix(field, node[key], sub, dom, cod)
+            else:
+                sided = _dict(node[key], sub)
+                if set(sided) != {"side", "map"}:
+                    _at(sub, "expected exactly the keys side, map")
+                if sided["side"] != "right":
+                    _at(sub + ".side", "only right-sided data is supported")
+                value = spec[1]("right", _matrix(field, sided["map"], sub + ".map", dom, cod))
+        values.append(value)
+    return build(field, *values)
 
 
 def parse_structure_document(doc):
@@ -296,7 +254,7 @@ def parse_structure_document(doc):
     if len(kinds) != 1:
         _at("$", "expected exactly one of %s" % ", ".join(PAYLOAD_KEYS))
     kind = kinds[0]
-    return field, kind, _PARSERS[kind](field, doc[kind], kind)
+    return field, kind, _parse(field, kind, doc[kind], kind)
 
 
 def load_structure_file(path):
@@ -319,70 +277,44 @@ def _strs(field, nested):
     return field.to_str(nested)
 
 
-def algebra_to_doc(a: AlgebraData):
-    return {"mult": _strs(a.field, a.mult), "unit": _strs(a.field, a.unit)}
+def _legs(field, m: LinMap) -> list:
+    """m's entries as strings, nested by its domain legs, then its codomain
+    legs."""
+    nested = [field.to_str(x) for col in zip(*m.mat) for x in col]
+    for d in reversed((m.dom + m.cod)[1:]):
+        nested = [nested[i:i + d] for i in range(0, len(nested), d)]
+    return nested
 
 
-def coalgebra_to_doc(c: CoalgebraData):
-    return {"comult": _strs(c.field, c.comult), "counit": _strs(c.field, c.counit)}
+def _dump(field, kind, payload) -> dict:
+    doc = {}
+    for key, attr, spec in FORMAT[kind][2]:
+        value = getattr(payload, attr)
+        if isinstance(spec, str):
+            doc[key] = _dump(field, spec, value)
+        elif spec[0] == SIDED:
+            doc[key] = {"side": value.side, "map": _strs(field, value.map.mat)}
+        elif spec[0] == MATRIX:
+            doc[key] = _strs(field, value.mat)
+        elif isinstance(value, LinMap):
+            doc[key] = _legs(field, value)
+        else:
+            doc[key] = _strs(field, value)
+    return doc
 
 
-def bialgebra_to_doc(b: BialgebraData):
-    return {"algebra": algebra_to_doc(b.algebra),
-            "coalgebra": coalgebra_to_doc(b.coalgebra)}
-
-
-def entwining_to_doc(e: Entwining):
-    na, nc = e.a.dim, e.c.dim
-    psi = [[[[e.field.to_str(e.psi_entry(a2, c2, c, a))
-              for c2 in range(nc)] for a2 in range(na)]
-            for a in range(na)] for c in range(nc)]
-    return {"algebra": algebra_to_doc(e.a), "coalgebra": coalgebra_to_doc(e.c),
-            "psi": psi}
-
-
-def doi_hopf_to_doc(d: DoiHopfDatum):
-    f = d.field
-    return {"bialgebra": bialgebra_to_doc(d.h),
-            "algebra": algebra_to_doc(d.a),
-            "coalgebra": coalgebra_to_doc(d.c),
-            "coaction": {"side": d.coaction.side,
-                         "map": _strs(f, d.coaction.map.mat)},
-            "action": {"side": d.action.side,
-                       "map": _strs(f, d.action.map.mat)}}
-
-
-def factorization_to_doc(fact: Factorization):
-    na, nb = fact.a.dim, fact.b.dim
-    rmap = [[[[fact.field.to_str(fact.r_entry(b2, a2, a, b))
-               for a2 in range(na)] for b2 in range(nb)]
-             for b in range(nb)] for a in range(na)]
-    return {"algebra_b": algebra_to_doc(fact.b), "algebra_a": algebra_to_doc(fact.a),
-            "rmap": rmap}
-
-
-def extension_to_doc(ext: RingExtension):
-    return {"base": algebra_to_doc(ext.r), "total": algebra_to_doc(ext.s),
-            "embedding": _strs(ext.field, ext.embedding.mat)}
-
-
-_SERIALIZERS = (
-    (AlgebraData, "algebra", algebra_to_doc),
-    (CoalgebraData, "coalgebra", coalgebra_to_doc),
-    (BialgebraData, "bialgebra", bialgebra_to_doc),
-    (Entwining, "entwining", entwining_to_doc),
-    (DoiHopfDatum, "doi_hopf", doi_hopf_to_doc),
-    (Factorization, "factorization", factorization_to_doc),
-    (RingExtension, "ring_extension", extension_to_doc),
-)
+def _entry_kind(payload) -> str:
+    for kind, (cls, _, _) in FORMAT.items():
+        if isinstance(payload, cls):
+            return kind
+    return type(payload).__name__
 
 
 def payload_to_structure_document(field: Field, payload) -> dict:
-    for cls, key, ser in _SERIALIZERS:
-        if isinstance(payload, cls):
-            return {"field": field.describe(), key: ser(payload)}
-    raise ParseError("cannot serialize payload of type %s"
-                     % (type(payload).__name__,))
+    kind = _entry_kind(payload)
+    if kind not in FORMAT:
+        raise ParseError("cannot serialize payload of type %s" % kind)
+    return {"field": field.describe(), kind: _dump(field, kind, payload)}
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +510,6 @@ def cmd_analyze(args) -> int:
     report, code = run_analysis(kind, payload, args.question, cfg, field, args)
     emit(report, args.format, elapsed=time.monotonic() - t0)
     return code
-
-
-def _entry_kind(payload) -> str:
-    for cls, key, _ in _SERIALIZERS:
-        if isinstance(payload, cls):
-            return key
-    return type(payload).__name__
 
 
 def _entry_dims(payload) -> str:

@@ -138,9 +138,9 @@ def _doi(d):
     ("flip-k-DN", "F2", lambda d: d["entwining"].pop("psi"),
      "entwining: expected exactly the keys algebra, coalgebra, psi"),
     ("fact-flip-kC2-kC2", "F2", lambda d: d["factorization"].pop("rmap"),
-     "factorization: expected exactly the keys algebra_b, algebra_a, rmap"),
+     "factorization: expected exactly the keys algebra_a, algebra_b, rmap"),
     ("ext-k-M2", "F2", lambda d: d["ring_extension"].update(extra=1),
-     "ring_extension: expected exactly the keys base, total, embedding"),
+     "ring_extension: expected exactly the keys base, embedding, total"),
     ("doihopf-kC2-datum", "F3", lambda d: _doi(d)["action"].pop("side"),
      "doi_hopf.action: expected exactly the keys side, map"),
     ("sweedler", "F3", lambda d: d["bialgebra"]["coalgebra"].update(mult=[]),
