@@ -1,8 +1,8 @@
 """Command line front end: validate structure files, run analyses, browse
 the corpus.
 
-Structure files are a single JSON document with scalars as strings ("3/2"
-is accepted over Q, and over F_p when the denominator is
+Structure files are a single JSON document with scalars as strings of
+ASCII digits ("3/2" is accepted over Q, and over F_p when the denominator is
 invertible).  The format is the table FORMAT below, which parsing,
 serializing and kind lookup all read; this docstring summarises it:
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from math import prod
@@ -712,9 +713,10 @@ QQ_FIELD = Field("Q")
 
 
 def _field_flag(spec: str) -> Field:
+    """Q, or F and a prime in ASCII digits with no sign or leading zero."""
     if spec == "Q":
         return QQ_FIELD
-    if spec.startswith("F"):
+    if re.fullmatch("F[1-9][0-9]*", spec):
         try:
             return Field("Fp", int(spec[1:]))
         except (ValueError, ParseError):

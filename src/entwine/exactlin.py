@@ -195,7 +195,7 @@ def GF(p: int) -> type:
     return cls
 
 
-_Q_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+_Q_RE = re.compile(r"^[+-]?[0-9]+(/[+-]?[0-9]+)?$")  # ASCII digits only
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,8 @@ class Field:
     def parse(self, s):
         """Read a scalar from a string (or a plain int).
 
-        Accepts "a" and "a/b" (b nonzero).  Over F_p the result is reduced;
+        Accepts "a" and "a/b" (b nonzero), each an optional sign and ASCII
+        digits: other Unicode digits are malformed.  Over F_p the result is reduced;
         "a/b" means a * b^{-1} mod p and requires p not dividing b.
         """
         if isinstance(s, int) and not isinstance(s, bool):

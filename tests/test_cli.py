@@ -73,6 +73,50 @@ def test_validate_malformed_scalar(tmp_path, capsys):
     assert "algebra.unit[0]" in err
 
 
+@pytest.mark.parametrize("scalar", [
+    "\u0661",        # ARABIC-INDIC DIGIT ONE
+    "\uff11",        # FULLWIDTH DIGIT ONE
+    "1/\u0663",      # a non-ASCII denominator
+    "-\u0967",       # DEVANAGARI DIGIT ONE, signed
+])
+def test_non_ascii_digits_are_malformed_scalars(tmp_path, capsys, scalar):
+    p = export(tmp_path, "kC2", QQ)
+    doc = json.loads(p.read_text())
+    doc["algebra"]["unit"][0] = scalar
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: algebra.unit[0]: malformed scalar %r\n" % scalar
+
+
+def test_signed_and_fraction_scalars_are_accepted():
+    doc = {"field": {"kind": "Q"},
+           "algebra": {"mult": [[["-1"]]], "unit": ["+1"]}}
+    _, _, a = parse_structure_document(doc)
+    assert (a.mult[0][0][0], a.unit[0]) == (-QQ.one, QQ.one)
+    doc["algebra"]["unit"] = ["3/2"]
+    _, _, a = parse_structure_document(doc)
+    assert a.unit[0] == QQ.parse("3") / QQ.parse("2")
+
+
+@pytest.mark.parametrize("spec", [
+    "F\u0663", "F\uff13", "F+3", "F-3", "F03", "F 3", "F3 ", "F", "F4", "F1", "F0",
+    "Fp3", "f3", "q",
+])
+def test_corpus_export_field_flag_takes_an_ascii_prime(capsys, spec):
+    code, out, err = run(capsys, "corpus", "export", "--name", "kC2", "--field", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: usage error: --field takes Q or F<p>, not %r\n" % spec
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2", "F3", "F5", "F101"])
+def test_corpus_export_field_flag_accepts_q_and_primes(capsys, spec):
+    code, out, _ = run(capsys, "corpus", "export", "--name", "kC2", "--field", spec)
+    assert code == 0
+    assert json.loads(out)["field"] == (
+        {"kind": "Q"} if spec == "Q" else {"kind": "Fp", "p": int(spec[1:])})
+
+
 @pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
 @pytest.mark.parametrize("literal,needle", [
     ('"%s"' % ("7" * 5000), "algebra.unit[0]"),
